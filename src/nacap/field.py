@@ -11,7 +11,9 @@ strictly below it is exact, everything at or above it is unknown.  Exact
 elements have an infinite guarantee.  Arithmetic truncates results to a
 window of configurable width above the valuation and to a maximum term
 count; any truncation lowers the guarantee instead of silently pretending
-exactness.  Sign and ordering queries that cannot be certified raise
+exactness.  Inversion of x = a*e^q*(1+h) computes 1/(1+h) one coefficient
+at a time and is exact below geometric_series_depth * val(h) and within
+the window.  Sign and ordering queries that cannot be certified raise
 IndeterminateComparisonError rather than guessing.
 
 All values are immutable and all operations are pure functions of their
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import contextvars
 import enum
+import heapq
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -49,8 +52,10 @@ class PrecisionConfig:
 
     window: width W of the kept exponent range [valuation, valuation + W).
     max_terms: maximum stored terms per element.
-    geometric_series_depth: number of geometric-series terms used by
-        inversion before the remainder is absorbed into the guarantee.
+    geometric_series_depth: inversion of x = a*e^q*(1+h) is exact below
+        geometric_series_depth * val(h) and within the window, the range a
+        geometric series in h with this many terms certifies; the rest of
+        1/(1+h) is absorbed into the guarantee.
     """
 
     window: Fraction = Fraction(32)
@@ -129,6 +134,52 @@ def _finalize(terms, guarantee, cfg: PrecisionConfig) -> "LCElement":
             guarantee = min(guarantee, terms[cfg.max_terms][0])
             terms = terms[: cfg.max_terms]
     return LCElement(tuple(terms), guarantee)
+
+
+def _reciprocal_terms(h: "LCElement", cfg: PrecisionConfig):
+    """Terms and guarantee of 1/(1+h) for h of positive valuation lam.
+
+    The coefficients follow c(0) = 1 and c(e) = -sum_eta h_eta*c(e - eta)
+    in increasing exponent order; only a nonzero c(e) makes e + eta a
+    candidate.  They are exact below min(h.guarantee, (steps+1)*lam), the
+    range a geometric series of ``geometric_series_depth`` terms certifies.
+    The first nonzero coefficient that does not fit, past the window or
+    over ``max_terms``, ends the series and its exponent is the guarantee,
+    since the coefficients between the window's edge and it are known to
+    vanish.  Ending at the window's edge, as ``_finalize`` does, can
+    certify less than the geometric series did."""
+    if not h.terms:
+        return [(Q(0), Q(1))], h.guarantee
+    lam = h.terms[0][0]
+    steps = min(cfg.geometric_series_depth - 1, math.ceil(cfg.window / lam) + 1)
+    bound = min(h.guarantee, (steps + 1) * lam)
+    coefficients: dict = {}
+    terms = []
+    pending = [Q(0)]
+    queued = set(pending)
+    while pending:
+        e = heapq.heappop(pending)
+        c = Q(1) if e == 0 else Q(0)
+        for eta, h_eta in h.terms:
+            if eta > e:
+                break
+            previous = coefficients.get(e - eta)
+            if previous is not None:
+                c -= h_eta * previous
+        if c == 0:
+            continue
+        if e >= cfg.window or len(terms) == cfg.max_terms:
+            return terms, e
+        coefficients[e] = c
+        terms.append((e, c))
+        for eta, _ in h.terms:
+            successor = e + eta
+            if successor >= bound:
+                break
+            if successor not in queued:
+                queued.add(successor)
+                heapq.heappush(pending, successor)
+    return terms, bound
 
 
 @dataclass(frozen=True)
@@ -307,10 +358,20 @@ class LCElement:
             other.guarantee + self.valuation,
             self.guarantee + other.guarantee,
         )
+        # The least and the greatest pair sums are formed once each, so
+        # they never cancel.  When the greatest lies in [cut, guarantee),
+        # _finalize's window cut falls at cut for certain.  Pairs at or past
+        # the guarantee cannot reach the result and are never formed.
+        if self.terms and other.terms:
+            cut = self.terms[0][0] + other.terms[0][0] + cfg.window
+            if cut <= self.terms[-1][0] + other.terms[-1][0] < guarantee:
+                guarantee = cut
         acc: dict = {}
         for ex, cx in self.terms:
             for ey, cy in other.terms:
                 exponent = ex + ey
+                if exponent >= guarantee:
+                    break
                 value = acc.get(exponent, Q(0)) + cx * cy
                 if value == 0:
                     acc.pop(exponent, None)
@@ -329,7 +390,7 @@ class LCElement:
 
     def inv(self) -> "LCElement":
         """Multiplicative inverse via leading-term factorization
-        x = a0*e^(q0)*(1+h) and a truncated geometric series in h."""
+        x = a0*e^(q0)*(1+h), with 1/(1+h) from ``_reciprocal_terms``."""
         if not self.terms:
             if self.guarantee == INF:
                 raise ZeroDivisionError("inverse of zero")
@@ -340,24 +401,10 @@ class LCElement:
         q0, a0 = self.terms[0]
         gh = INF if self.guarantee == INF else self.guarantee - q0
         h = _finalize([(e - q0, c / a0) for e, c in self.terms[1:]], gh, cfg)
-        one = _ONE
-        series = one + (-h)
-        if h.terms:
-            lam = h.terms[0][0]
-            steps = min(
-                cfg.geometric_series_depth - 1,
-                int(math.ceil(cfg.window / lam)) + 1,
-            )
-            neg_h = -h
-            for _ in range(steps - 1):
-                series = one + neg_h * series
-            remainder = (steps + 1) * lam
-            if remainder < series.guarantee:
-                series = _finalize(list(series.terms), remainder, cfg)
-        return _finalize(
-            [(e - q0, c / a0) for e, c in series.terms],
-            series.guarantee if series.guarantee == INF else series.guarantee - q0,
-            cfg,
+        terms, guarantee = _reciprocal_terms(h, cfg)
+        return LCElement(
+            tuple((e - q0, c / a0) for e, c in terms),
+            guarantee if guarantee == INF else guarantee - q0,
         )
 
     def __truediv__(self, other):
@@ -585,4 +632,4 @@ def format_element(x: LCElement) -> str:
 
 
 def guarantee_str(guarantee: Guarantee) -> str:
-    return "inf" if guarantee == INF or guarantee == INF else str(guarantee)
+    return "inf" if guarantee == INF else str(guarantee)

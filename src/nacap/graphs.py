@@ -50,6 +50,7 @@ class LeviCivitaField:
 
     zero = staticmethod(LCElement.zero)
     one = staticmethod(LCElement.one)
+    standard_part = staticmethod(LCElement.standard_part)
 
 
 class RationalFunctionField:
@@ -88,6 +89,8 @@ class RationalFunctionField:
     def one():
         return RFElement.constant(1)
 
+    standard_part = staticmethod(RFElement.standard_part)
+
 
 class RationalField:
     """Plain rationals; the scalar type of real-evaluated graphs."""
@@ -115,6 +118,8 @@ class RationalField:
     @staticmethod
     def one():
         return Q(1)
+
+    standard_part = staticmethod(Q)
 
 
 FIELDS = {
@@ -741,9 +746,6 @@ class WeightedGraph:
 
     def with_degree_measure(self) -> "WeightedGraph":
         return WeightedGraph(self._structure, self.field, DegreeMeasure(), self.label)
-
-    def with_measure(self, measure) -> "WeightedGraph":
-        return WeightedGraph(self._structure, self.field, measure, self.label)
 
     def evaluated_at(self, r0) -> "WeightedGraph":
         """For a rational-function graph: the real-weighted graph obtained by

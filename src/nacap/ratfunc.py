@@ -260,6 +260,11 @@ class RFElement:
             raise PoleError(f"pole at r = {r0}")
         return peval(self.num, r0) / den
 
+    def standard_part(self) -> Fraction:
+        """Value at r = 0, which is 0 when the element vanishes there;
+        raises PoleError on a pole."""
+        return self.eval_at(0)
+
     def embed(self):
         """Window-truncated power-series expansion at r = 0 with e := r.
 

@@ -74,23 +74,3 @@ def valuation_of(x):
 
 def guarantee_of(x):
     return x.guarantee if isinstance(x, LCElement) else INF
-
-
-def zero_of(x):
-    if isinstance(x, LCElement):
-        return LCElement.zero()
-    if isinstance(x, RFElement):
-        return RFElement.constant(0)
-    return Q(0)
-
-
-def one_of(x):
-    if isinstance(x, LCElement):
-        return LCElement.one()
-    if isinstance(x, RFElement):
-        return RFElement.constant(1)
-    return Q(1)
-
-
-def literal_of(x) -> str:
-    return str(x)

@@ -293,7 +293,7 @@ def nonvanishing_certificate(
         element = powers[k]
         if scalars.valuation_of(element) != 0:
             continue
-        c = element.standard_part() if hasattr(element, "standard_part") else element
+        c = ctx.field.standard_part(element)
         diff = element - ctx.field.from_rational(c)
         certified = scalars.indistinguishable(diff, ctx.field.zero()) and scalars.guarantee_of(
             diff

@@ -58,6 +58,16 @@ class TestCommands:
         assert series["certificate"]["type"] == "nonvanishing_rational_bound"
         assert series["trend"]["convergent"] is False
 
+    def test_transition_series_certificate_over_rational_functions(self, capsys):
+        # P^2(0,0) = 1/(1+r) on ex8: standard part 1, certified bound 1/2.
+        report = run_json(
+            capsys,
+            "transition", "--spec", "ex8", "--x", "0", "--y", "0", "--n", "2",
+            "--series", "4",
+        )
+        assert report["outputs"]["pn"]["value"] == "(1)/(1 + 1*r)"
+        assert report["outputs"]["series"]["certificate"]["bound"] == "1/2"
+
     def test_green_matches_capacity(self, capsys):
         report = run_json(
             capsys, "green", "--spec", "ex2", "--x", "0", "--y", "0", "--horizon", "5"

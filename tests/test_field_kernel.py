@@ -1,0 +1,136 @@
+"""Differential tests: the LCElement multiplication and inversion kernels
+against the reference forms in ``field_reference.py``.
+
+Multiplication must return exactly the reference element.  Inversion and
+division may certify more than the reference: their terms must agree below
+the reference guarantee, and their guarantee must be at least the reference
+one.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from field_reference import reference_div, reference_inv, reference_mul
+from nacap.field import INF, LCElement, PrecisionConfig, precision
+
+WINDOWS = list(range(1, 9)) + [32]
+# Integer, half-integer and dyadic exponent lattices.
+GRIDS = [Fraction(1), Fraction(1, 2), Fraction(1, 8), Fraction(1, 32)]
+
+
+def random_config(rng):
+    return PrecisionConfig(
+        window=rng.choice(WINDOWS),
+        max_terms=rng.randint(2, 96),
+        geometric_series_depth=rng.randint(1, 24),
+    )
+
+
+def random_element(rng):
+    """A nonzero element on one lattice with up to 8 terms; its guarantee is
+    infinite or lies a few steps above its last term."""
+    step = rng.choice(GRIDS)
+    span = rng.choice([4, 12, 40])
+    count = rng.randint(1, 8)
+    start = rng.randint(-8, 8)
+    offsets = sorted(rng.sample(range(span), min(count, span)))
+    terms = []
+    for offset in offsets:
+        numerator = rng.choice([n for n in range(-4, 5) if n])
+        terms.append(((start + offset) * step, Fraction(numerator, rng.randint(1, 3))))
+    guarantee = INF if rng.random() < 0.5 else terms[-1][0] + rng.randint(1, 16) * step
+    return LCElement(tuple(terms), guarantee)
+
+
+def terms_below(x, bound):
+    return tuple(t for t in x.terms if t[0] < bound)
+
+
+def assert_refines(new, ref):
+    """``new`` certifies at least what ``ref`` does, and the same terms."""
+    assert all(e < new.guarantee for e, _ in new.terms), new
+    assert new.guarantee >= ref.guarantee, (new, ref)
+    assert terms_below(new, ref.guarantee) == ref.terms, (new, ref)
+
+
+def check_case(rng):
+    cfg = random_config(rng)
+    x, y = random_element(rng), random_element(rng)
+    with precision(cfg):
+        assert x * y == reference_mul(x, y)
+        new_inv = y.inv()
+        assert_refines(new_inv, reference_inv(y))
+        assert_refines(x / y, reference_div(x, y))
+    if y.is_exact:
+        # y * (1/y) - 1 vanishes below val(y) + guarantee(1/y) exactly when
+        # every term of 1/y below its guarantee is the true one.
+        with precision(window=1000, max_terms=10**5):
+            product = y * new_inv
+        assert product.guarantee == y.valuation + new_inv.guarantee
+        assert product.indistinguishable(LCElement.one()), (y, cfg)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_kernels_match_reference(seed):
+    rng = random.Random(seed)
+    for _ in range(250):
+        check_case(rng)
+
+
+def lc(terms, guarantee=INF):
+    return LCElement(tuple((Fraction(e), Fraction(c)) for e, c in terms), guarantee)
+
+
+class TestMulLimit:
+    def test_cancelling_pairs_past_the_window(self):
+        # (1 + e^5)(1 - e^5) = 1 - e^10: the last pair lies past cut = 4, so
+        # the window cuts there and the cancelling pairs at 5 are skipped.
+        x, y = lc([(0, 1), (5, 1)]), lc([(0, 1), (5, -1)])
+        with precision(window=4):
+            assert x * y == lc([(0, 1)], Fraction(4)) == reference_mul(x, y)
+
+    def test_last_pair_past_the_guarantee_keeps_the_guarantee(self):
+        # Every pair past the guarantee 3 is dropped, nothing reaches cut = 4,
+        # so the product keeps guarantee 3.
+        x, y = lc([(0, 1), (1, 1)], Fraction(3)), lc([(0, 1), (10, 1)])
+        with precision(window=4):
+            assert x * y == lc([(0, 1), (1, 1)], Fraction(3)) == reference_mul(x, y)
+
+    def test_last_pair_at_the_guarantee_leaves_the_cut_to_the_window(self):
+        # The last pair sits at the guarantee 8; the pair at 5 still lies
+        # past cut = 4, so the window cuts there.
+        x, y = lc([(0, 1), (5, 1)], Fraction(8)), lc([(0, 1), (3, 1)])
+        with precision(window=4):
+            assert x * y == lc([(0, 1), (3, 1)], Fraction(4)) == reference_mul(x, y)
+
+
+@pytest.mark.parametrize(
+    "config, terms, guarantee",
+    [
+        # depth 5 certifies 1/(1 - e) below 5 * val(e) = 5.
+        (dict(geometric_series_depth=5), 5, 5),
+        # Past the window's edge the next term e^8 is the guarantee.
+        (dict(window=8), 8, 8),
+        # The term after the first max_terms ones is the guarantee.
+        (dict(max_terms=3), 3, 3),
+    ],
+)
+def test_inverse_cuts(config, terms, guarantee):
+    x = lc([(0, 1), (1, -1)])
+    with precision(**config):
+        inverse, ref = x.inv(), reference_inv(x)
+    assert inverse == ref == lc([(k, 1) for k in range(terms)], Fraction(guarantee))
+
+
+def test_inverse_guarantee_never_below_reference():
+    # y = e^-1/2 * (1 + h) with h = 4e + 8e^2.  1/(1+h) has no term at e^7,
+    # the first exponent past the window, and its next one at e^8; the
+    # reference certifies it up to e^8, so ending at the window's edge, as
+    # _finalize would, would lower the guarantee.
+    y = lc([(-1, Fraction(1, 2)), (0, 2), (1, 4)], Fraction(9))
+    with precision(window=7, max_terms=35, geometric_series_depth=18):
+        new, ref = y.inv(), reference_inv(y)
+    assert ref.guarantee == new.guarantee == 9
+    assert_refines(new, ref)

@@ -86,3 +86,10 @@ class TestEval:
     def test_pole(self):
         with pytest.raises(PoleError):
             RFElement.monomial(1, -1).eval_at(0)
+
+    def test_standard_part(self):
+        assert rf((2, 1), (1, 1)).standard_part() == 2
+        assert rf((0, 1), (1, 1)).standard_part() == 0
+        assert RFElement.constant(0).standard_part() == 0
+        with pytest.raises(PoleError):
+            RFElement.monomial(1, -1).standard_part()

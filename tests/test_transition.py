@@ -10,8 +10,10 @@ from nacap.field import INF, LCElement, precision
 from nacap.graphs import (
     ConstantRule,
     ExplicitListRule,
+    FactorialMonomialRule,
     HalfPowerRule,
     MonomialRule,
+    RationalFunctionField,
     make_path,
 )
 from nacap.transition import (
@@ -182,6 +184,17 @@ class TestDecayCertificates:
     def test_unit_path_power_bound(self):
         cert = nonvanishing_certificate(unit_ctx(), 0)
         assert cert is not None and cert.bound >= Fraction(1, 4)
+
+    def test_nonvanishing_bound_over_rational_functions_and_reals(self):
+        # b(k,k+1) = k! r^k gives P^2(0,0) = 1/(1+r): standard part 1, which
+        # lies above the element, so the certified bound is 1/2; at r = 1/2
+        # the real value 2/3 is exact.
+        graph = make_path(FactorialMonomialRule(), field=RationalFunctionField)
+        cert = nonvanishing_certificate(TransitionContext(graph), 0, max_power=4)
+        assert cert.power == 2 and cert.bound == Fraction(1, 2)
+        real = TransitionContext(graph.evaluated_at(Fraction(1, 2)))
+        cert = nonvanishing_certificate(real, 0, max_power=4)
+        assert cert.power == 2 and cert.bound == Fraction(2, 3)
 
 
 class TestNeumann:
