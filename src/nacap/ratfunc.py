@@ -9,12 +9,22 @@ into the Levi-Civita field with e := r.
 Normal form: numerator and denominator share no polynomial factor and the
 denominator's lowest-order nonzero coefficient is 1 (hence positive), which
 makes structural equality canonical.
+
+The normal form is kept without ever taking the gcd of a full cross product.
+``pgcd`` removes the common power of r, clears denominators and contents,
+and runs the primitive pseudo-remainder sequence on integer coefficients
+(W. S. Brown, JACM 1971), so no rational coefficient swells.  Sums and
+products of elements already in normal form take gcds of their smaller
+factors only (P. Henrici, JACM 1956): a product cancels num(a) against
+den(b) and num(b) against den(a); a sum cancels only against the gcd of the
+two denominators.  Inversion swaps the two sides.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Tuple
 
 from .errors import PoleError
@@ -75,13 +85,58 @@ def pdivmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     return _strip(quotient), _strip(rest)
 
 
+def _integral(a: Poly) -> list:
+    """The primitive integer polynomial with positive leading coefficient
+    that is a rational multiple of the nonzero polynomial a."""
+    common = lcm(*(c.denominator for c in a))
+    return _primitive([c.numerator * (common // c.denominator) for c in a])
+
+
+def _primitive(coeffs: list) -> list:
+    """Integer coefficients divided by their content, signed so that the
+    leading one is positive."""
+    content = gcd(*coeffs)
+    if coeffs[-1] < 0:
+        content = -content
+    return [c // content for c in coeffs]
+
+
+def _pseudo_remainder(a: list, b: list) -> list:
+    """Remainder of c*a by b over the integers, with c a product of factors
+    of b's leading coefficient just large enough to keep every step
+    integral; len(a) >= len(b) >= 2."""
+    rest = list(a)
+    lead = b[-1]
+    n = len(b)
+    while len(rest) >= n:
+        top = rest.pop()
+        if top:
+            g = gcd(top, lead)
+            scale, factor = lead // g, top // g
+            if scale != 1:
+                rest = [scale * c for c in rest]
+            shift = len(rest) - n + 1
+            for i in range(n - 1):
+                rest[shift + i] -= factor * b[i]
+    while rest and rest[-1] == 0:
+        rest.pop()
+    return rest
+
+
 def pgcd(a: Poly, b: Poly) -> Poly:
-    while b:
-        _, a, b = None, b, pdivmod(a, b)[1]
-    if a:
-        lead = a[-1]
-        a = tuple(c / lead for c in a)  # monic
-    return a
+    """Monic gcd over Q[r]; () only when both are zero."""
+    if not a or not b:
+        g = a or b
+        return tuple(c / g[-1] for c in g)
+    i, j = _lowest(a)[0], _lowest(b)[0]
+    shift = (Q(0),) * min(i, j)
+    x, y = sorted((_integral(a[i:]), _integral(b[j:])), key=len, reverse=True)
+    while len(y) > 1:
+        x, y = y, _pseudo_remainder(x, y)
+        if not y:
+            return shift + tuple(Q(c, x[-1]) for c in x)
+        y = _primitive(y)
+    return shift + (Q(1),)
 
 
 def peval(a: Poly, r0) -> Fraction:
@@ -96,6 +151,21 @@ def _lowest(a: Poly) -> tuple[int, Fraction]:
         if c != 0:
             return k, c
     raise ValueError("zero polynomial has no lowest term")
+
+
+def _exquo(a: Poly, g: Poly) -> Poly:
+    """a / g for a monic divisor g of a."""
+    return a if len(g) == 1 else pdivmod(a, g)[0]
+
+
+def _scaled(num: Poly, den: Poly) -> "RFElement":
+    """The element num/den for coprime num and den, with den's lowest
+    nonzero coefficient scaled to 1."""
+    _, low = _lowest(den)
+    if low != 1:
+        num = tuple(c / low for c in num)
+        den = tuple(c / low for c in den)
+    return RFElement(num, den)
 
 
 @dataclass(frozen=True)
@@ -113,15 +183,9 @@ class RFElement:
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
         if not num:
-            return RFElement((), (Q(1),))
+            return _ZERO
         g = pgcd(num, den)
-        if len(g) > 1:
-            num = pdivmod(num, g)[0]
-            den = pdivmod(den, g)[0]
-        _, low = _lowest(den)
-        num = tuple(c / low for c in num)
-        den = tuple(c / low for c in den)
-        return RFElement(num, den)
+        return _scaled(_exquo(num, g), _exquo(den, g))
 
     @staticmethod
     def constant(value) -> "RFElement":
@@ -170,10 +234,18 @@ class RFElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return RFElement.make(
-            padd(pmul(self.num, other.den), pmul(other.num, self.den)),
-            pmul(self.den, other.den),
-        )
+        if not self.num:
+            return other
+        if not other.num:
+            return self
+        d = pgcd(self.den, other.den)
+        own = _exquo(self.den, d)
+        total = padd(pmul(self.num, _exquo(other.den, d)), pmul(other.num, own))
+        # The sum shares no factor with own or with other.den / d, so only
+        # a factor of d can cancel.  A zero sum needs equal denominators, so
+        # both cofactors are constants and the result is the canonical zero.
+        e = pgcd(total, d) if len(d) > 1 else d
+        return _scaled(_exquo(total, e), pmul(own, _exquo(other.den, e)))
 
     __radd__ = __add__
 
@@ -196,14 +268,23 @@ class RFElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return RFElement.make(pmul(self.num, other.num), pmul(self.den, other.den))
+        if not self.num or not other.num:
+            return _ZERO
+        # Both sides are in normal form: only num(a) against den(b) and
+        # num(b) against den(a) can cancel.
+        g1 = pgcd(self.num, other.den)
+        g2 = pgcd(other.num, self.den)
+        return _scaled(
+            pmul(_exquo(self.num, g1), _exquo(other.num, g2)),
+            pmul(_exquo(self.den, g2), _exquo(other.den, g1)),
+        )
 
     __rmul__ = __mul__
 
     def inv(self) -> "RFElement":
         if not self.num:
             raise ZeroDivisionError("inverse of zero rational function")
-        return RFElement.make(self.den, self.num)
+        return _scaled(self.den, self.num)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -299,3 +380,6 @@ class RFElement:
 
     def __repr__(self) -> str:
         return f"RFElement({self})"
+
+
+_ZERO = RFElement((), (Q(1),))

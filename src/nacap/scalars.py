@@ -24,7 +24,7 @@ def certainly_nonzero(x) -> bool:
     within a finite guarantee) is NOT certainly nonzero."""
     if isinstance(x, LCElement):
         return bool(x.terms)
-    return x != 0
+    return bool(x)
 
 
 def is_zero_like(x) -> bool:

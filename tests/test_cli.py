@@ -149,6 +149,26 @@ class TestDeterminismAndErrors:
         code, _, err = run(capsys, "hardy", "--spec", "ex1")
         assert code == 4 and "null" in err
 
+    @pytest.mark.parametrize(
+        "command", [("solve-dp", "--renormalized"), ("green", "--x", "0", "--y", "0")]
+    )
+    def test_empty_boundary_over_rational_functions(self, capsys, tmp_path, command):
+        # At horizon 2, K is the ball of radius 1: the whole triangle.  The
+        # capacity is an exact Q(r) zero and the charge-normalized problem
+        # is refused.
+        spec = tmp_path / "triangle.json"
+        spec.write_text(json.dumps({
+            "field": "rational-function",
+            "kind": "explicit",
+            "vertices": 3,
+            "edges": [[0, 1, "1 + 1*e^(1)"], [1, 2, "2*e^(2)"], [0, 2, "1*e^(-1)"]],
+        }))
+        code, out, err = run(
+            capsys, command[0], "--spec", str(spec), "--horizon", "2", *command[1:]
+        )
+        assert code == 4 and out == ""
+        assert "boundary of K is empty" in err
+
     def test_precision_exit_code(self, capsys):
         code, out, err = run(
             capsys,
