@@ -1,13 +1,18 @@
 """Transition operator P = I - Laplacian under the degree measure m = b.
 
 Matrix powers P^n(x, y) are exact sums over length-n paths, computed by
-repeated sparse application of the operator; Pi^n(x, y) is the maximal
-single-path product, which controls P^n up to an infinitely large factor.
+repeated sparse application of the operator to a column: f_n = P^n e_y,
+and P^n(x, y) = f_n(x).  A context computes each column once per active
+precision and per (y, restriction), and extends it only as far as a call
+asks, so powers, partial sums and the non-decay search share it.
+Pi^n(x, y) is the maximal single-path product, which controls P^n up to an
+infinitely large factor.
 Convergence of P^n to zero is never inferred from raw finite evidence: a
 restricted operator is certified through the exact minimum mean cycle of
 edge valuations (sound and complete on a finite restriction), the full
 operator through a recognized weight rule, and non-decay through a rational
-lower bound on a return probability.
+lower bound on a return probability, found by a search that stops at the
+first power that gives one.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from . import scalars
 from .dirichlet import dirichlet_inverse_apply
 from .errors import ConvergenceNotCertifiedError, PreconditionError
 from .exact import Q
-from .field import INF
+from .field import INF, active_precision
 from .graphs import FactorialMonomialRule, MonomialRule, Trend
 
 __all__ = [
@@ -40,23 +45,34 @@ __all__ = [
 
 class TransitionContext:
     """A graph with its measure forced to m(x) = b(x), making I - Laplacian
-    row-stochastic: p(x, y) = b(x, y)/b(x)."""
+    row-stochastic: p(x, y) = b(x, y)/b(x).
+
+    Rows p(x, .) and columns P^n e_y are kept per active PrecisionConfig:
+    their elements are truncated under it, so a context reused under a
+    wider precision must compute them afresh."""
 
     def __init__(self, graph):
         self.graph = graph.with_degree_measure()
-        self._rows: dict = {}
+        self._cache: dict = {}
 
     @property
     def field(self):
         return self.graph.field
 
+    def _computed(self) -> tuple:
+        """(rows, columns) computed under the active precision."""
+        config = active_precision()
+        computed = self._cache.get(config)
+        if computed is None:
+            computed = self._cache[config] = ({}, {})
+        return computed
+
     def probs_from(self, x) -> dict:
-        if x not in self._rows:
+        rows = self._computed()[0]
+        if x not in rows:
             inv_degree = scalars.invert(self.graph.degree_weight(x))
-            self._rows[x] = {
-                y: w * inv_degree for y, w in self.graph.neighbors(x).items()
-            }
-        return self._rows[x]
+            rows[x] = {y: w * inv_degree for y, w in self.graph.neighbors(x).items()}
+        return rows[x]
 
     def prob(self, x, y):
         return self.probs_from(x).get(y, self.field.zero())
@@ -81,21 +97,35 @@ def _apply(ctx: TransitionContext, f: dict, restrict) -> dict:
     return out
 
 
+def _restriction(restrict, x, y) -> Optional[frozenset]:
+    """`restrict` as a frozenset (None for the full graph), checked to
+    contain x and y."""
+    if restrict is None:
+        return None
+    restrict = frozenset(restrict)
+    if x not in restrict or y not in restrict:
+        raise PreconditionError("x and y must lie in the restriction set")
+    return restrict
+
+
+def _column(ctx: TransitionContext, y, restrict: Optional[frozenset], N) -> list:
+    """[P_R^n e_y for n = 0..N] as sparse vectors, R = restrict.  The column
+    lives in ctx and is extended only as far as N."""
+    columns = ctx._computed()[1]
+    column = columns.get((y, restrict))
+    if column is None:
+        column = columns[(y, restrict)] = [{y: ctx.field.one()}]
+    while len(column) <= N:
+        column.append(_apply(ctx, column[-1], restrict))
+    return column
+
+
 def transition_powers(ctx: TransitionContext, x, y, N, restrict=None) -> list:
     """[P^n(x, y) for n = 0..N], restricted to paths inside `restrict` when
     given.  Exact dynamic programming, never dense matrix powers."""
-    if restrict is not None:
-        restrict = set(restrict)
-        if x not in restrict or y not in restrict:
-            raise PreconditionError("x and y must lie in the restriction set")
+    restrict = _restriction(restrict, x, y)
     zero = ctx.field.zero()
-    one = ctx.field.one()
-    f = {y: one}
-    out = [one if x == y else zero]
-    for _ in range(N):
-        f = _apply(ctx, f, restrict)
-        out.append(f.get(x, zero))
-    return out
+    return [f.get(x, zero) for f in _column(ctx, y, restrict, N)[: max(N, 0) + 1]]
 
 
 def pn_element(ctx: TransitionContext, x, y, n):
@@ -123,10 +153,7 @@ def pi_element(ctx: TransitionContext, x, y, n, restrict=None) -> MaxPathResult:
     Candidates whose difference vanishes within the certified precision are
     ties and resolved to the first-found path under ascending neighbor
     order; this never changes the value below its guarantee."""
-    if restrict is not None:
-        restrict = set(restrict)
-        if x not in restrict or y not in restrict:
-            raise PreconditionError("x and y must lie in the restriction set")
+    restrict = _restriction(restrict, x, y)
     if n == 0:
         one = ctx.field.one()
         return MaxPathResult(one, (x,)) if x == y else MaxPathResult(ctx.field.zero(), None)
@@ -287,10 +314,12 @@ def nonvanishing_certificate(
 ) -> Optional[NonvanishingCertificate]:
     """Search k in 2..max_power for a return probability with valuation 0;
     its standard part (halved when that is needed for certification) is the
-    rational lower bound."""
-    powers = transition_powers(ctx, x0, x0, max_power, restrict=restrict)
+    rational lower bound.  The column of x0 is extended one power at a time
+    and the search stops at the first such k."""
+    restrict = _restriction(restrict, x0, x0)
+    zero = ctx.field.zero()
     for k in range(2, max_power + 1):
-        element = powers[k]
+        element = _column(ctx, x0, restrict, k)[k].get(x0, zero)
         if scalars.valuation_of(element) != 0:
             continue
         c = ctx.field.standard_part(element)
@@ -417,7 +446,7 @@ def neumann_inverse_check(
             total[v] = total.get(v, zero) + value
         diffs = {v: total.get(v, zero) - inverse[v] for v in K}
         if all(
-            (not d.terms) or scalars.valuation_of(d) >= target_valuation
+            not scalars.certainly_nonzero(d) or scalars.valuation_of(d) >= target_valuation
             for d in diffs.values()
         ):
             return InverseCheckReport(

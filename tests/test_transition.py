@@ -1,10 +1,12 @@
 """Transition operator: exact powers, max-path products, Neumann series."""
 
+import random
 from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
 
+from nacap import transition
 from nacap.errors import ConvergenceNotCertifiedError
 from nacap.field import INF, LCElement, precision
 from nacap.graphs import (
@@ -16,6 +18,7 @@ from nacap.graphs import (
     RationalFunctionField,
     make_path,
 )
+from nacap.specfile import build_graph, load_spec
 from nacap.transition import (
     TransitionContext,
     full_decay_certificate,
@@ -30,6 +33,9 @@ from nacap.transition import (
     row_sum,
     transition_powers,
 )
+
+from prop_suites import BASE_CONFIG, random_graph
+from transition_reference import reference_nonvanishing_certificate, reference_transition_powers
 
 ONE = LCElement.one()
 EPS = LCElement.eps()
@@ -99,6 +105,19 @@ class TestPowers:
         powers = transition_powers(unit_ctx(), 0, 0, 7)
         for n in (1, 3, 5, 7):
             assert powers[n] == LCElement.zero()
+
+    def test_context_reused_under_a_wider_precision(self):
+        # The elements kept for the lean precision have guarantee 11/4; the
+        # wider one must recompute them, as a fresh context does (67/4).
+        ctx = half_power_ctx()
+        with precision(window=2, max_terms=16):
+            lean = pn_element(ctx, 0, 0, 4)
+        with precision(window=16, max_terms=128):
+            reused = pn_element(ctx, 0, 0, 4)
+            fresh = pn_element(half_power_ctx(), 0, 0, 4)
+        assert lean.guarantee == Fraction(11, 4)
+        assert fresh.guarantee == Fraction(67, 4)
+        assert reused == fresh
 
 
 class TestMaxPath:
@@ -241,6 +260,34 @@ class TestNeumann:
         report = neumann_inverse_check(ctx, (0,), {0: ONE}, target_valuation=1)
         assert report.ok and report.N_used == 1
 
+    @pytest.mark.parametrize("name", ["ex8", "ex9"])
+    def test_inverse_check_over_rational_functions(self, name):
+        graph, _ = build_graph(load_spec(name))
+        ctx = TransitionContext(graph)
+        one = ctx.field.one()
+        for K in ((0,), (2,)):
+            report = neumann_inverse_check(ctx, K, {K[0]: one})
+            assert report.ok and report.N_used == 1 and report.rate == INF
+        for K in ((1, 2), (3, 4)):
+            report = neumann_inverse_check(ctx, K, {K[0]: one})
+            assert report.ok and report.rate == Fraction(1, 2)
+            assert all(v >= 2 for v in report.difference_valuations.values())
+
+    def test_series_applies_p_once_per_power(self, monkeypatch):
+        # The partial sum computes P^1..P^4 e_0; the non-decay search hits
+        # at power 2 and reads it from the same column.
+        applied = []
+        apply = transition._apply
+
+        def counting_apply(*args):
+            applied.append(args)
+            return apply(*args)
+
+        monkeypatch.setattr(transition, "_apply", counting_apply)
+        report = neumann_partial(unit_ctx(), 0, 0, 4)
+        assert report.certificate.power == 2
+        assert len(applied) == 4
+
 
 class TestConsistencyWithCapacity:
     def test_full_decay_cooccurs_with_positive_capacity(self):
@@ -269,3 +316,69 @@ class TestConsistencyWithCapacity:
                 vals = [p.valuation for p in powers if p.terms]
                 assert vals[-1] > vals[0]
                 assert all(a <= b for a, b in zip(vals, vals[1:]))
+
+
+def reference_graphs():
+    rng = random.Random(20261018)
+    graphs = [random_graph(rng) for _ in range(6)]
+    graphs += [build_graph(load_spec(f"ex{i}"))[0] for i in range(1, 10)]
+    return graphs
+
+
+class TestAgainstReference:
+    """Columns kept in the context give exactly the powers and certificates
+    that the from-scratch reference computes, whatever the order of calls."""
+
+    @pytest.mark.parametrize("index", range(15))
+    def test_interleaved_calls_match_reference(self, index):
+        graph = reference_graphs()[index]
+        rng = random.Random(index)
+        with precision(BASE_CONFIG):
+            ctx = TransitionContext(graph)
+            fresh = TransitionContext(graph)
+            calls = []
+            for restrict in (None, ctx.graph.ball(0, 2), ctx.graph.ball(0, 3)):
+                vertices = restrict or ctx.graph.ball(0, 3)
+                for x, y in iproduct(vertices, vertices):
+                    calls.append(("powers", x, y, rng.randint(0, 8), restrict))
+                    calls.append(("series", x, y, rng.randint(0, 8), restrict))
+                for x in vertices:
+                    calls.append(("certificate", x, x, 8, restrict))
+            rng.shuffle(calls)
+            powers, bounds = {}, {}
+            for kind, x, y, N, restrict in calls:
+                # The reference iterates from scratch, so its powers up to N
+                # are the first N + 1 of its powers up to 8.
+                if (x, y, restrict) not in powers:
+                    powers[x, y, restrict] = reference_transition_powers(fresh, x, y, 8, restrict)
+                expected = powers[x, y, restrict][: N + 1]
+                if kind == "powers":
+                    assert transition_powers(ctx, x, y, N, restrict) == expected
+                    continue
+                if (x, restrict) not in bounds:
+                    bounds[x, restrict] = reference_nonvanishing_certificate(
+                        fresh, x, restrict=restrict
+                    )
+                bound = bounds[x, restrict]
+                if kind == "certificate":
+                    assert nonvanishing_certificate(ctx, x, restrict=restrict) == bound
+                    continue
+                report = neumann_partial(ctx, x, y, N, restrict)
+                total = ctx.field.zero()
+                for element in expected:
+                    total = total + element
+                assert report.partial_sum == total
+                if restrict is not None:
+                    decay = restricted_decay_certificate(fresh, restrict)
+                else:
+                    decay = full_decay_certificate(fresh)
+                assert report.certificate == (decay or bound)
+
+    def test_large_power_first_then_small(self):
+        ctx = half_power_ctx()
+        fresh = half_power_ctx()
+        with precision(window=4, max_terms=32):
+            assert transition_powers(ctx, 1, 0, 8) == reference_transition_powers(fresh, 1, 0, 8)
+            assert pn_element(ctx, 0, 0, 2) == reference_transition_powers(fresh, 0, 0, 2)[2]
+            assert nonvanishing_certificate(ctx, 0) == reference_nonvanishing_certificate(fresh, 0)
+            assert transition_powers(ctx, 0, 0, 3) == reference_transition_powers(fresh, 0, 0, 3)
