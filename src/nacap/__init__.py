@@ -40,13 +40,11 @@ from .graphs import (
     ExplicitListRule,
     FactorialMonomialRule,
     HalfPowerRule,
-    LeviCivitaField,
     ListMeasure,
     ListSize,
     MonomialRule,
     PeriodicRule,
     PowerSize,
-    RationalFunctionField,
     SphericalProfile,
     Trend,
     WeightedGraph,

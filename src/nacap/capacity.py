@@ -11,14 +11,14 @@ observed valuation trend as evidence, never a guess.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from . import scalars
-from .dirichlet import effective_capacity, solve_dp
+from .dirichlet import effective_capacity
 from .errors import PrecisionExhaustedError, PreconditionError
 from .exact import Q
-from .field import INF, LCElement, active_precision, guarantee_str
+from .field import INF, LCElement, active_precision, guarantee_str, scalar_json
 from .graphs import (
     ConstantSize,
     SphericalProfile,
@@ -66,7 +66,7 @@ def capacity_sequence(graph, a, N) -> CapacitySequence:
         step = large - small
         if scalars.certainly_positive(-step):
             raise AssertionError("capacity failed to decrease along the exhaustion")
-        diffs.append(scalars.valuation_of(step))
+        diffs.append(step.valuation)
     return CapacitySequence(a, tuple(values), tuple(diffs), saturated)
 
 
@@ -193,10 +193,7 @@ class CapacityVerdict:
         if self.root is not None:
             out["root"] = self.root
         if self.limit is not None:
-            out["limit"] = {
-                "value": str(self.limit),
-                "guarantee": guarantee_str(scalars.guarantee_of(self.limit)),
-            }
+            out["limit"] = scalar_json(self.limit)
         if self.certificate is not None:
             out["certificate"] = self.certificate.to_json()
         return out
@@ -211,9 +208,7 @@ def _profile_of(source) -> tuple:
     """(b_plus rule, sphere sizes, field, graph-or-None) from a profile or a
     rule-backed path/spherical graph."""
     if isinstance(source, SphericalProfile):
-        from .graphs import LeviCivitaField
-
-        return source.b_plus, source.sphere_sizes, LeviCivitaField, None
+        return source.b_plus, source.sphere_sizes, LCElement, None
     if isinstance(source, WeightedGraph):
         rule = source.weight_rule
         sizes = source.sphere_sizes
@@ -234,7 +229,7 @@ def spherical_capacity_limit(rule, sizes, field, max_terms=10_000):
     k = 0
     while k < max_terms:
         # b(boundary of B_{k+1}) = #S_k * b_plus(k)
-        boundary = rule.value(k, field) * field.from_rational(sizes.value(k))
+        boundary = rule.value(k, field) * field.rational(sizes.value(k))
         term = boundary.inv()
         lam = term.valuation
         if anchor is None:
@@ -314,14 +309,14 @@ def nash_williams(graph, a, N) -> Optional[NashWilliamsCertificate]:
     max_edge_vals = []
     for n in range(1, N + 1):
         ball = set(graph.ball(a, n))
-        boundary_vals.append(scalars.valuation_of(graph.boundary_weight(ball)))
+        boundary_vals.append(graph.boundary_weight(ball).valuation)
         best = None
         for x in sorted(ball):
             for y, w in graph.neighbors(x).items():
                 if y not in ball:
                     if best is None or scalars.certainly_positive(w - best):
                         best = w
-        max_edge_vals.append(scalars.valuation_of(best) if best is not None else INF)
+        max_edge_vals.append(best.valuation if best is not None else INF)
 
     rule = graph.weight_rule
     rule_backed = rule is not None and rule.trend(graph.field).kind == Trend.TO_ZERO
@@ -475,8 +470,9 @@ class RealSweepTable:
 
 def real_sweep(graph, a, n_power, r_values, N) -> RealSweepTable:
     """Classical (real) finite-horizon capacities of a rational-function
-    graph at rational parameter values: exact elimination over the rationals
-    at each r, reported alongside r^(-n_power) * capacity.
+    graph at rational parameter values: exact elimination at each r over
+    the graph's weights as exact series constants, whose standard part is
+    the rational capacity, reported alongside r^(-n_power) * capacity.
 
     For graphs with null capacity over the series field, the scaled column
     tends to zero as r -> 0+, but it need not be monotone in r.  On ex8
@@ -489,7 +485,7 @@ def real_sweep(graph, a, n_power, r_values, N) -> RealSweepTable:
         if r <= 0:
             raise PreconditionError(f"sweep parameter r = {r} must be positive")
         real_graph = graph.evaluated_at(r)
-        cap = effective_capacity(real_graph, real_graph.ball(a, N), a)
+        cap = effective_capacity(real_graph, real_graph.ball(a, N), a).standard_part()
         rows.append(RealSweepRow(r, cap, cap / r**n_power))
     return RealSweepTable(a, N, n_power, tuple(rows))
 
@@ -501,5 +497,5 @@ def path_series_capacity(graph, a, n):
         raise PreconditionError("series law oracle applies to path graphs rooted at 0")
     total = graph.field.zero()
     for k in range(n):
-        total = total + scalars.invert(graph.weight(k, k + 1))
-    return scalars.invert(total)
+        total = total + graph.weight(k, k + 1).inv()
+    return total.inv()

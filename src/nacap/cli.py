@@ -13,11 +13,11 @@ Exit codes: 0 success, 2 spec or usage error, 3 precision exhausted,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
 
-from . import scalars
 from .capacity import (
     capacity_sequence,
     classify_generic,
@@ -27,8 +27,7 @@ from .capacity import (
 )
 from .dirichlet import green_matrix, solve_dp, solve_renormalized
 from .errors import PrecisionError, PreconditionError, SpecFileError
-from .exact import Q
-from .field import INF, PrecisionConfig, guarantee_str, precision
+from .field import INF, guarantee_str, precision, scalar_json
 from .potential import (
     construct_superharmonic,
     hardy_construct,
@@ -36,7 +35,7 @@ from .potential import (
     harnack_constant,
     is_superharmonic,
 )
-from .specfile import build_graph, load_spec, parse_precision
+from .specfile import build_graph, load_spec
 from .transition import (
     TransitionContext,
     neumann_partial,
@@ -51,15 +50,8 @@ EXIT_PRECISION = 3
 EXIT_PRECONDITION = 4
 
 
-def _scalar_json(x):
-    return {
-        "value": str(x),
-        "guarantee": guarantee_str(scalars.guarantee_of(x)),
-    }
-
-
 def _values_json(values):
-    return {str(v): _scalar_json(values[v]) for v in sorted(values)}
+    return {str(v): scalar_json(values[v]) for v in sorted(values)}
 
 
 def _min_guarantee(node):
@@ -109,6 +101,16 @@ def _render_human(node, indent=0):
     return lines
 
 
+def _natural(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _int_list(text):
     return [int(part) for part in text.split(",") if part.strip() != ""]
 
@@ -130,8 +132,8 @@ def _cmd_solve_dp(graph, args):
         "normalization": sol.normalization,
         "vertices": list(sol.vertices),
         "values": _values_json(sol.values),
-        "capacity": _scalar_json(sol.capacity),
-        "energy": _scalar_json(sol.energy),
+        "capacity": scalar_json(sol.capacity),
+        "energy": scalar_json(sol.energy),
     }
 
 
@@ -140,7 +142,7 @@ def _cmd_capacity(graph, args):
     verdict = classify_generic(graph, args.root, args.horizon)
     return {
         "root": sequence.root,
-        "values": [_scalar_json(v) for v in sequence.values],
+        "values": [scalar_json(v) for v in sequence.values],
         "difference_valuations": [guarantee_str(v) for v in sequence.difference_valuations],
         "verdict": verdict.to_json(),
     }
@@ -166,7 +168,7 @@ def _cmd_green(graph, args):
     return {
         "x": args.x,
         "y": args.y,
-        "value": _scalar_json(column[args.x]),
+        "value": scalar_json(column[args.x]),
         "column": _values_json(column),
     }
 
@@ -181,12 +183,12 @@ def _cmd_transition(graph, args):
         out["restriction"] = list(restrict)
     if args.max_product:
         result = pi_element(ctx, args.x, args.y, args.n, restrict=restrict)
-        out["max_path_product"] = _scalar_json(result.value)
+        out["max_path_product"] = scalar_json(result.value)
         out["witness_path"] = list(result.path) if result.path is not None else None
     elif restrict is not None:
-        out["pn"] = _scalar_json(pn_restricted(ctx, restrict, args.x, args.y, args.n))
+        out["pn"] = scalar_json(pn_restricted(ctx, restrict, args.x, args.y, args.n))
     else:
-        out["pn"] = _scalar_json(pn_element(ctx, args.x, args.y, args.n))
+        out["pn"] = scalar_json(pn_element(ctx, args.x, args.y, args.n))
     if args.series is not None:
         report = neumann_partial(ctx, args.x, args.y, args.series, restrict=restrict)
         out["series"] = report.to_json()
@@ -195,7 +197,7 @@ def _cmd_transition(graph, args):
 
 def _cmd_harnack(graph, args):
     W = _int_list(args.set)
-    return {"set": W, "constant": _scalar_json(harnack_constant(graph, W))}
+    return {"set": W, "constant": scalar_json(harnack_constant(graph, W))}
 
 
 def _cmd_superharmonic(graph, args):
@@ -307,9 +309,9 @@ def _build_parser():
     p = sub.add_parser("transition", parents=[common], help="transition operator powers")
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--y", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_natural, required=True)
     p.add_argument("--restrict", type=int, default=None, help="confine paths to the ball of this radius around x (inclusive index bound on paths)")
-    p.add_argument("--series", type=int, default=None, help="also sum P^n up to this N")
+    p.add_argument("--series", type=_natural, default=None, help="also sum P^n up to this N")
     p.add_argument("--max-product", action="store_true", help="maximal path product instead of the sum")
 
     p = sub.add_parser("harnack", parents=[common], help="local Harnack constant")
@@ -349,11 +351,7 @@ def main(argv=None) -> int:
         if args.max_terms is not None:
             overrides["max_terms"] = args.max_terms
         if overrides:
-            config = PrecisionConfig(
-                window=overrides.get("window", config.window),
-                max_terms=overrides.get("max_terms", config.max_terms),
-                geometric_series_depth=config.geometric_series_depth,
-            )
+            config = dataclasses.replace(config, **overrides)
         with precision(config):
             outputs = HANDLERS[args.command](graph, args)
         report = {

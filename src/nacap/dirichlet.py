@@ -90,7 +90,7 @@ def _solve_system(rows, rhs, zero):
             entry = rows[r].get(col)
             if entry is None:
                 continue
-            if scalars.certainly_nonzero(entry):
+            if entry:
                 pivot_row = r
                 break
             saw_zero_like = saw_zero_like or scalars.is_zero_like(entry)
@@ -104,12 +104,12 @@ def _solve_system(rows, rhs, zero):
             rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
             rhs[col], rhs[pivot_row] = rhs[pivot_row], rhs[col]
         pivot = rows[col][col]
-        pivot_inv = scalars.invert(pivot)
+        pivot_inv = pivot.inv()
         for r in range(col + 1, m):
             entry = rows[r].get(col)
             if entry is None:
                 continue
-            if not scalars.certainly_nonzero(entry) and not scalars.is_zero_like(entry):
+            if not entry and not scalars.is_zero_like(entry):
                 rows[r].pop(col, None)  # exact zero, nothing to eliminate
                 continue
             # Zero-like entries are eliminated too: the multiplication and
@@ -124,7 +124,7 @@ def _solve_system(rows, rhs, zero):
                     target.pop(col, None)
                     continue
                 updated = target.get(c, zero) - factor * value
-                if scalars.certainly_nonzero(updated) or scalars.is_zero_like(updated):
+                if updated or scalars.is_zero_like(updated):
                     target[c] = updated
                 else:
                     target.pop(c, None)
@@ -135,7 +135,7 @@ def _solve_system(rows, rhs, zero):
         for c, value in rows[col].items():
             if c > col:
                 acc = acc - value * solution[c]
-        solution[col] = acc * scalars.invert(rows[col][col])
+        solution[col] = acc * rows[col][col].inv()
     return solution
 
 
@@ -203,7 +203,7 @@ def solve_renormalized(graph, K, a) -> DirichletSolution:
     v_charge = v / (Delta v(a)) and capacity = m(a) / v_charge(a)."""
     base = solve_dp(graph, K, a)
     capacity = base.capacity
-    if not scalars.certainly_nonzero(capacity):
+    if not capacity:
         if scalars.is_zero_like(capacity):
             raise PrecisionExhaustedError(
                 "capacity not certified nonzero; cannot renormalize"
@@ -213,7 +213,7 @@ def solve_renormalized(graph, K, a) -> DirichletSolution:
         raise PreconditionError(
             "the boundary of K is empty; the charge-normalized problem is singular"
         )
-    scale = graph.measure(a) * scalars.invert(capacity)
+    scale = graph.measure(a) * capacity.inv()
     values = {x: v * scale for x, v in base.values.items()}
     return DirichletSolution(
         vertices=base.vertices,
@@ -229,10 +229,6 @@ def effective_capacity(graph, K, a):
     """cap_K(a): the charge of the potential-normalized solution at a.
     Independent of the measure and monotone decreasing in K."""
     return solve_dp(graph, K, a).capacity
-
-
-def _as_function(f):
-    return f if callable(f) else (lambda x, mapping=f: mapping.get(x, None))
 
 
 def energy(graph, phi: Mapping):
@@ -274,7 +270,7 @@ def laplacian_apply(graph, f, x):
     total = zero
     for y, w in graph.neighbors(x).items():
         total = total + (fx - fetch(y)) * w
-    return total * scalars.invert(graph.measure(x))
+    return total * graph.measure(x).inv()
 
 
 def green_matrix(graph, K, y) -> Mapping:

@@ -24,6 +24,7 @@ threads.
 from __future__ import annotations
 
 import contextvars
+import dataclasses
 import enum
 import heapq
 import math
@@ -99,13 +100,7 @@ def precision(config: PrecisionConfig | None = None, **overrides):
     """
     base = config if config is not None else active_precision()
     if overrides:
-        fields = {
-            "window": base.window,
-            "max_terms": base.max_terms,
-            "geometric_series_depth": base.geometric_series_depth,
-        }
-        fields.update(overrides)
-        base = PrecisionConfig(**fields)
+        base = dataclasses.replace(base, **overrides)
     token = _ACTIVE.set(base)
     try:
         yield base
@@ -226,6 +221,10 @@ class LCElement:
         return LCElement(((Q(exponent), coefficient),), INF)
 
     @staticmethod
+    def from_literal(text: str) -> "LCElement":
+        return parse_element(text)
+
+    @staticmethod
     def eps(exponent=1, coefficient=1) -> "LCElement":
         return LCElement.monomial(coefficient, exponent)
 
@@ -277,12 +276,6 @@ class LCElement:
     def __bool__(self) -> bool:
         # True iff certainly nonzero.
         return bool(self.terms)
-
-    @property
-    def leading_coefficient(self) -> Coefficient:
-        if not self.terms:
-            raise IndeterminateComparisonError("zero-like element has no leading term")
-        return self.terms[0][1]
 
     def standard_part(self) -> Fraction:
         """Coefficient at exponent 0 (the real shadow of a finite element)."""
@@ -482,9 +475,6 @@ class LCElement:
     def __ge__(self, other):
         return self.compare(other) >= 0
 
-    def abs(self) -> "LCElement":
-        return -self if self.sign() < 0 else self
-
     def with_guarantee(self, guarantee) -> "LCElement":
         """Lower the guarantee (never raises it); terms at or above the new
         guarantee are dropped.  Used when a caller knows an omitted tail."""
@@ -633,3 +623,8 @@ def format_element(x: LCElement) -> str:
 
 def guarantee_str(guarantee: Guarantee) -> str:
     return "inf" if guarantee == INF else str(guarantee)
+
+
+def scalar_json(x) -> dict:
+    """The report form of a field element: its value and its guarantee."""
+    return {"value": str(x), "guarantee": guarantee_str(x.guarantee)}

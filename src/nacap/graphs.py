@@ -23,110 +23,15 @@ from .errors import (
     NonpositiveWeightError,
     SpecFileError,
 )
-from .field import LCElement, parse_element
+from .field import LCElement
 from .ratfunc import RFElement
-from . import scalars
 
 
-# ---------------------------------------------------------------------------
-# Scalar field adapters
-# ---------------------------------------------------------------------------
-
-
-class LeviCivitaField:
-    name = "levi-civita"
-
-    @staticmethod
-    def monomial(coefficient, exponent):
-        return LCElement.monomial(coefficient, exponent)
-
-    @staticmethod
-    def from_rational(value):
-        return LCElement.rational(value)
-
-    @staticmethod
-    def from_literal(text):
-        return parse_element(text)
-
-    zero = staticmethod(LCElement.zero)
-    one = staticmethod(LCElement.one)
-    standard_part = staticmethod(LCElement.standard_part)
-
-
-class RationalFunctionField:
-    name = "rational-function"
-
-    @staticmethod
-    def monomial(coefficient, exponent):
-        exponent = Q(exponent)
-        if exponent.denominator != 1:
-            raise SpecFileError(
-                f"rational-function weights need integer exponents, got {exponent}"
-            )
-        return RFElement.monomial(coefficient, int(exponent))
-
-    @staticmethod
-    def from_rational(value):
-        return RFElement.constant(value)
-
-    @staticmethod
-    def from_literal(text):
-        series = parse_element(text)
-        element = RFElement.constant(0)
-        for exponent, coefficient in series.terms:
-            if exponent.denominator != 1:
-                raise SpecFileError(
-                    f"rational-function literal has non-integer exponent {exponent}"
-                )
-            element = element + RFElement.monomial(coefficient, int(exponent))
-        return element
-
-    @staticmethod
-    def zero():
-        return RFElement.constant(0)
-
-    @staticmethod
-    def one():
-        return RFElement.constant(1)
-
-    standard_part = staticmethod(RFElement.standard_part)
-
-
-class RationalField:
-    """Plain rationals; the scalar type of real-evaluated graphs."""
-
-    name = "rational"
-
-    @staticmethod
-    def monomial(coefficient, exponent):
-        if Q(exponent) != 0:
-            raise SpecFileError("rational weights cannot carry eps powers")
-        return Q(coefficient)
-
-    @staticmethod
-    def from_rational(value):
-        return Q(value)
-
-    @staticmethod
-    def from_literal(text):
-        return Q(text)
-
-    @staticmethod
-    def zero():
-        return Q(0)
-
-    @staticmethod
-    def one():
-        return Q(1)
-
-    standard_part = staticmethod(Q)
-
-
-FIELDS = {
-    LeviCivitaField.name: LeviCivitaField,
-    RationalFunctionField.name: RationalFunctionField,
-    RationalField.name: RationalField,
-}
+# The scalar fields a spec can name.  A field is its element class: both
+# answer the same constructors (zero, one, rational, monomial, from_literal)
+# and queries (inv, sign, compare, indistinguishable, standard_part,
+# valuation, guarantee, and bool for certified nonzero).
+FIELDS = {"levi-civita": LCElement, "rational-function": RFElement}
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +111,7 @@ class ConstantRule:
         object.__setattr__(self, "constant", _fr(self.constant))
 
     def value(self, k: int, field):
-        return field.from_rational(self.constant)
+        return field.rational(self.constant)
 
     def trend(self, field) -> Trend:
         bound = self.value(0, field)
@@ -288,9 +193,9 @@ class PeriodicRule:
         values = [field.from_literal(text) for text in self.literals]
         lower = upper = values[0]
         for v in values[1:]:
-            if scalars.compare(v, lower) < 0:
+            if v.compare(lower) < 0:
                 lower = v
-            if scalars.compare(v, upper) > 0:
+            if v.compare(upper) > 0:
                 upper = v
         return Trend(Trend.TWO_SIDED, lower=lower, upper=upper)
 
@@ -407,7 +312,7 @@ class ConstantMeasure:
     constant: Fraction = Q(1)
 
     def value(self, v: int, field):
-        return field.from_rational(self.constant)
+        return field.rational(self.constant)
 
     def to_json(self):
         return {"rule": "const", "value": str(self.constant)}
@@ -452,7 +357,7 @@ class _PathStructure:
     def _edge_weight(self, k: int):
         if k not in self._weights:
             w = self.rule.value(k, self.field)
-            if not scalars.certainly_nonzero(w) or scalars.sign_of(w) <= 0:
+            if not w or w.sign() <= 0:
                 raise NonpositiveWeightError(f"edge ({k},{k + 1}) has nonpositive weight")
             self._weights[k] = w
         return self._weights[k]
@@ -480,24 +385,24 @@ class _PathStructure:
         return self.rule
 
     def evaluated_at(self, r0: Fraction):
-        return _PathStructure(_EvaluatedRule(self.rule, self.field, r0), RationalField)
+        return _PathStructure(_EvaluatedRule(self.rule, r0), LCElement)
 
 
 class _EvaluatedRule:
-    """A rational-function rule evaluated at a rational point r0 > 0."""
+    """A rational-function rule evaluated at a rational point r0 > 0; its
+    values are exact constants of the field it is asked for."""
 
-    def __init__(self, base, rf_field, r0):
+    def __init__(self, base, r0):
         self.base = base
-        self.rf_field = rf_field
         self.r0 = Q(r0)
 
     def value(self, k: int, field):
-        w = self.base.value(k, self.rf_field).eval_at(self.r0)
+        w = self.base.value(k, RFElement).eval_at(self.r0)
         if w <= 0:
             raise NonpositiveWeightError(
                 f"weight at index {k} evaluates to {w} <= 0 at r = {self.r0}"
             )
-        return w
+        return field.rational(w)
 
     def trend(self, field) -> Trend:
         return Trend(Trend.UNKNOWN)
@@ -545,13 +450,13 @@ class _SphericalStructure:
         """Uniform weight of one edge between sphere `level` and `level+1`."""
         if level not in self._level_weights:
             b_plus = self.profile.b_plus.value(level, self.field)
-            if scalars.sign_of(b_plus) <= 0:
+            if b_plus.sign() <= 0:
                 raise NonpositiveWeightError(f"b_plus({level}) is nonpositive")
-            w = b_plus / self.field.from_rational(self._size(level + 1))
+            w = b_plus / self.field.rational(self._size(level + 1))
             if self.profile.b_minus is not None:
-                implied = w * self.field.from_rational(self._size(level))
+                implied = w * self.field.rational(self._size(level))
                 stated = self.profile.b_minus.value(level + 1, self.field)
-                if not scalars.indistinguishable(implied, stated):
+                if not implied.indistinguishable(stated):
                     raise IncompatibleProfileError(
                         f"#S_{level} * b_plus({level}) != "
                         f"#S_{level + 1} * b_minus({level + 1})"
@@ -597,7 +502,7 @@ class _ExplicitStructure:
                 raise SpecFileError(f"edge ({x},{y}) outside vertex range 0..{n - 1}")
             if x == y:
                 raise SpecFileError(f"loop edge at vertex {x} not allowed")
-            if scalars.sign_of(w) <= 0:
+            if w.sign() <= 0:
                 raise NonpositiveWeightError(f"edge ({x},{y}) has nonpositive weight")
             adjacency[x][y] = w
             adjacency[y][x] = w
@@ -749,13 +654,14 @@ class WeightedGraph:
 
     def evaluated_at(self, r0) -> "WeightedGraph":
         """For a rational-function graph: the real-weighted graph obtained by
-        substituting r = r0 (exact rational arithmetic)."""
-        if self.field is not RationalFunctionField:
+        substituting r = r0.  Its weights are exact series constants, so
+        its arithmetic is exact rational arithmetic."""
+        if self.field is not RFElement:
             raise SpecFileError("evaluated_at applies to rational-function graphs")
         if self.kind != "path":
             raise SpecFileError("real evaluation is implemented for path graphs")
         structure = self._structure.evaluated_at(Q(r0))
-        return WeightedGraph(structure, RationalField, ConstantMeasure(), self.label)
+        return WeightedGraph(structure, LCElement, ConstantMeasure(), self.label)
 
 
 # ---------------------------------------------------------------------------
@@ -769,18 +675,18 @@ def _as_rule(rule):
     return rule
 
 
-def make_path(weight_rule, measure=None, field=LeviCivitaField, label="") -> WeightedGraph:
+def make_path(weight_rule, measure=None, field=LCElement, label="") -> WeightedGraph:
     """Path graph on {0, 1, 2, ...} with b(k, k+1) given by the rule and
     measure 1 unless stated otherwise."""
     return WeightedGraph(_PathStructure(_as_rule(weight_rule), field), field, measure, label)
 
 
-def make_spherical(profile: SphericalProfile, measure=None, field=LeviCivitaField, label="") -> WeightedGraph:
+def make_spherical(profile: SphericalProfile, measure=None, field=LCElement, label="") -> WeightedGraph:
     """Layered graph realizing a weakly spherically symmetric profile."""
     return WeightedGraph(_SphericalStructure(profile, field), field, measure, label)
 
 
-def make_explicit(n: int, edges, measure=None, field=LeviCivitaField, label="") -> WeightedGraph:
+def make_explicit(n: int, edges, measure=None, field=LCElement, label="") -> WeightedGraph:
     """Finite graph from an explicit edge list [(x, y, weight), ...]."""
     graph = WeightedGraph(_ExplicitStructure(n, edges, field), field, measure, label)
     if not graph.is_connected_subset(range(n)):

@@ -22,7 +22,7 @@ from .errors import (
     PreconditionError,
 )
 from .exact import Q
-from .field import Classification, LCElement
+from .field import scalar_json
 
 __all__ = [
     "is_superharmonic",
@@ -59,18 +59,10 @@ class SuperharmonicReport:
     laplacian: Mapping
 
     def to_json(self):
-        from .field import guarantee_str
-
         return {
             "ok": self.ok,
             "witness": self.witness,
-            "laplacian": {
-                str(x): {
-                    "value": str(v),
-                    "guarantee": guarantee_str(scalars.guarantee_of(v)),
-                }
-                for x, v in self.laplacian.items()
-            },
+            "laplacian": {str(x): scalar_json(v) for x, v in self.laplacian.items()},
         }
 
 
@@ -89,7 +81,7 @@ def is_superharmonic(graph, u, W) -> SuperharmonicReport:
             raise IndeterminateComparisonError(
                 f"Laplacian at vertex {x} vanishes within a finite guarantee"
             )
-        if witness is None and scalars.sign_of(delta) < 0:
+        if witness is None and delta.sign() < 0:
             witness = x
     return SuperharmonicReport(witness is None, witness, values)
 
@@ -132,11 +124,9 @@ def construct_superharmonic(graph, o, c, tau, radius=8) -> SuperharmonicConstruc
     else 1 - |x| tau.  Raises with a witness vertex when the ratio bound
     fails; the result is verified positive and superharmonic."""
     one = graph.field.one()
-    if isinstance(tau, LCElement) and tau.classify() is not Classification.INFINITESIMAL:
+    if not (tau.sign() > 0 and tau.valuation > 0):
         raise PreconditionError("tau must be a positive infinitesimal")
-    if scalars.sign_of(tau) <= 0:
-        raise PreconditionError("tau must be a positive infinitesimal")
-    tau_inv = scalars.invert(tau)
+    tau_inv = tau.inv()
     power = one
     for n in range(1, radius + 2):
         power = power * c
@@ -152,13 +142,13 @@ def construct_superharmonic(graph, o, c, tau, radius=8) -> SuperharmonicConstruc
             continue
         if not scalars.certainly_positive(plus):
             raise PreconditionError(f"vertex {x} has no outward weight")
-        ratio = minus * scalars.invert(plus)
+        ratio = minus * plus.inv()
         if scalars.certainly_positive(ratio - c):
             raise PreconditionError(
                 f"ratio b_minus/b_plus at vertex {x} exceeds c = {c}"
             )
 
-    grows = scalars.compare(c, one) > 0
+    grows = c.compare(one) > 0
     values = {}
     for x, d in distances.items():
         if grows:
@@ -167,7 +157,7 @@ def construct_superharmonic(graph, o, c, tau, radius=8) -> SuperharmonicConstruc
                 step = step * c
             values[x] = one - step * tau
         else:
-            values[x] = one - graph.field.from_rational(d) * tau
+            values[x] = one - graph.field.rational(d) * tau
     for x, v in sorted(values.items()):
         if not scalars.certainly_positive(v):
             raise PreconditionError(f"constructed function not certified positive at {x}")
@@ -214,8 +204,8 @@ def harnack_constant(graph, W):
             path = _shortest_path_within(graph, set(members), x, y)
             product = one
             for previous, current in zip(path, path[1:]):
-                product = product * graph.degree_weight(current) * scalars.invert(
-                    graph.weight(previous, current)
+                product = (
+                    product * graph.degree_weight(current) * graph.weight(previous, current).inv()
                 )
             if scalars.certainly_positive(product - best):
                 best = product
@@ -239,14 +229,14 @@ def ground_state_transform_check(graph, u, phi: Mapping) -> TransformCheck:
         if not scalars.certainly_positive(ux):
             raise PreconditionError(f"u must be certified positive at vertex {x}")
         delta = laplacian_apply(graph, fetch, x)
-        lhs = lhs - delta * scalars.invert(ux) * px * px * graph.measure(x)
+        lhs = lhs - delta * ux.inv() * px * px * graph.measure(x)
 
     zero = graph.field.zero()
     rhs = zero
     seen = set()
     for x, px in phi.items():
         ux = fetch(x)
-        ratio_x = px * scalars.invert(ux)
+        ratio_x = px * ux.inv()
         for y, w in graph.neighbors(x).items():
             pair = (x, y) if x < y else (y, x)
             if pair in seen:
@@ -254,10 +244,10 @@ def ground_state_transform_check(graph, u, phi: Mapping) -> TransformCheck:
             seen.add(pair)
             uy = fetch(y)
             py = phi.get(y, zero)
-            ratio_y = py * scalars.invert(uy)
+            ratio_y = py * uy.inv()
             diff = ratio_x - ratio_y
             rhs = rhs + w * ux * uy * diff * diff
-    return TransformCheck(scalars.indistinguishable(lhs, rhs), lhs, rhs)
+    return TransformCheck(lhs.indistinguishable(rhs), lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -278,18 +268,10 @@ class HardyWeight:
     detail: dict
 
     def to_json(self):
-        from .field import guarantee_str
-
         return {
             "provenance": self.provenance,
             "detail": self.detail,
-            "weights": {
-                str(x): {
-                    "value": str(v),
-                    "guarantee": guarantee_str(scalars.guarantee_of(v)),
-                }
-                for x, v in sorted(self.weights.items())
-            },
+            "weights": {str(x): scalar_json(v) for x, v in sorted(self.weights.items())},
         }
 
 
@@ -306,7 +288,7 @@ def energy_difference_bound(graph, x, y):
         w = graph.weight(previous, current)
         if minimum is None or scalars.certainly_positive(minimum - w):
             minimum = w
-    return graph.field.from_rational(2 * n) * scalars.invert(minimum)
+    return graph.field.rational(2 * n) * minimum.inv()
 
 
 def _reachable(graph, x, y):
@@ -347,7 +329,7 @@ def hardy_construct(
             bound = lower_bounds[x]
             if not scalars.certainly_positive(bound):
                 raise HardyConstructionError(f"lower bound at vertex {x} not positive")
-            weights[x] = bound * graph.field.from_rational(Q(1, 2 ** (i + 1)))
+            weights[x] = bound * graph.field.rational(Q(1, 2 ** (i + 1)))
         return HardyWeight(weights, "user_supplied", {"vertices": len(weights)})
 
     if verdict.kind == DIVERGENT and isinstance(
@@ -359,10 +341,10 @@ def hardy_construct(
             # the energy-difference bound along the radial path,
             # cap_n(x) >= bound/(2n) >= (bound/2) * eps for every n.
             infinitesimal = graph.field.monomial(1, 1)
-            m_x = edge_bound * infinitesimal * graph.field.from_rational(Q(1, 2))
+            m_x = edge_bound * infinitesimal * graph.field.rational(Q(1, 2))
             weights = {}
             for i, x in enumerate(graph.ball(0, horizon)):
-                weights[x] = m_x * graph.field.from_rational(Q(1, 2 ** (i + 1)))
+                weights[x] = m_x * graph.field.rational(Q(1, 2 ** (i + 1)))
             return HardyWeight(
                 weights,
                 "spherical_lower_bounds",

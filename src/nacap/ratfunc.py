@@ -27,8 +27,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Tuple
 
-from .errors import PoleError
+from .errors import PoleError, SpecFileError
 from .exact import Q, RATIONAL_TYPES
+from .field import INF, parse_element
 
 Poly = Tuple[Fraction, ...]  # coefficient at index k multiplies r**k
 
@@ -188,16 +189,42 @@ class RFElement:
         return _scaled(_exquo(num, g), _exquo(den, g))
 
     @staticmethod
-    def constant(value) -> "RFElement":
+    def zero() -> "RFElement":
+        return _ZERO
+
+    @staticmethod
+    def one() -> "RFElement":
+        return _ONE
+
+    @staticmethod
+    def rational(value) -> "RFElement":
         return RFElement.make((Q(value),))
 
     @staticmethod
-    def monomial(coefficient, exponent: int) -> "RFElement":
+    def monomial(coefficient, exponent) -> "RFElement":
+        exponent = Q(exponent)
+        if exponent.denominator != 1:
+            raise SpecFileError(
+                f"rational-function weights need integer exponents, got {exponent}"
+            )
+        k = int(exponent)
         coefficient = Q(coefficient)
-        exponent = int(exponent)
-        if exponent >= 0:
-            return RFElement.make((0,) * exponent + (coefficient,))
-        return RFElement.make((coefficient,), (0,) * (-exponent) + (1,))
+        if k >= 0:
+            return RFElement.make((0,) * k + (coefficient,))
+        return RFElement.make((coefficient,), (0,) * -k + (1,))
+
+    @staticmethod
+    def from_literal(text: str) -> "RFElement":
+        """A field-element literal read with r in place of e; every
+        exponent must be an integer."""
+        element = _ZERO
+        for exponent, coefficient in parse_element(text).terms:
+            if exponent.denominator != 1:
+                raise SpecFileError(
+                    f"rational-function literal has non-integer exponent {exponent}"
+                )
+            element = element + RFElement.monomial(coefficient, exponent)
+        return element
 
     # -- queries -------------------------------------------------------------
 
@@ -212,11 +239,17 @@ class RFElement:
         return 1 if ratio > 0 else -1
 
     @property
-    def valuation(self) -> int:
-        """Order of vanishing at r = 0 (negative for a pole)."""
+    def valuation(self):
+        """Order of vanishing at r = 0 (negative for a pole); +inf for
+        zero."""
         if not self.num:
-            raise ValueError("zero has no finite valuation")
-        return _lowest(self.num)[0] - _lowest(self.den)[0]
+            return INF
+        return Q(_lowest(self.num)[0] - _lowest(self.den)[0])
+
+    @property
+    def guarantee(self):
+        """Q(r) arithmetic is exact, so every element is exact everywhere."""
+        return INF
 
     def __bool__(self) -> bool:
         return bool(self.num)
@@ -227,7 +260,7 @@ class RFElement:
         if isinstance(other, RFElement):
             return other
         if isinstance(other, RATIONAL_TYPES):
-            return RFElement.constant(other)
+            return RFElement.rational(other)
         return NotImplemented
 
     def __add__(self, other):
@@ -303,7 +336,7 @@ class RFElement:
             return NotImplemented
         if n < 0:
             return self.inv() ** (-n)
-        result = RFElement.constant(1)
+        result = _ONE
         for _ in range(n):
             result = result * self
         return result
@@ -383,3 +416,4 @@ class RFElement:
 
 
 _ZERO = RFElement((), (Q(1),))
+_ONE = RFElement((Q(1),), (Q(1),))

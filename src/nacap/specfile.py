@@ -29,7 +29,6 @@ from .graphs import (
     PowerSize,
     SphericalProfile,
     FIELDS,
-    LeviCivitaField,
     make_explicit,
     make_path,
     make_spherical,
@@ -153,7 +152,7 @@ def build_graph(data: dict):
     """(graph, precision) from a parsed spec object."""
     field_name = data.get("field", "levi-civita")
     field = FIELDS.get(field_name)
-    if field is None or field_name == "rational":
+    if field is None:
         raise SpecFileError(
             f"unknown field {field_name!r} (expected 'levi-civita' or 'rational-function')"
         )

@@ -17,7 +17,6 @@ first power that gives one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -25,8 +24,8 @@ from . import scalars
 from .dirichlet import dirichlet_inverse_apply
 from .errors import ConvergenceNotCertifiedError, PreconditionError
 from .exact import Q
-from .field import INF, active_precision
-from .graphs import FactorialMonomialRule, MonomialRule, Trend
+from .field import INF, active_precision, guarantee_str, scalar_json
+from .graphs import FactorialMonomialRule, MonomialRule
 
 __all__ = [
     "TransitionContext",
@@ -70,12 +69,9 @@ class TransitionContext:
     def probs_from(self, x) -> dict:
         rows = self._computed()[0]
         if x not in rows:
-            inv_degree = scalars.invert(self.graph.degree_weight(x))
+            inv_degree = self.graph.degree_weight(x).inv()
             rows[x] = {y: w * inv_degree for y, w in self.graph.neighbors(x).items()}
         return rows[x]
-
-    def prob(self, x, y):
-        return self.probs_from(x).get(y, self.field.zero())
 
 
 def _apply(ctx: TransitionContext, f: dict, restrict) -> dict:
@@ -211,7 +207,7 @@ def min_mean_cycle_valuation(ctx: TransitionContext, K):
     for u in nodes:
         for v, p in ctx.probs_from(u).items():
             if v in index:
-                edges.append((index[u], index[v], scalars.valuation_of(p)))
+                edges.append((index[u], index[v], p.valuation))
     if not edges:
         return INF
     table = [[None] * m for _ in range(m + 1)]
@@ -320,14 +316,11 @@ def nonvanishing_certificate(
     zero = ctx.field.zero()
     for k in range(2, max_power + 1):
         element = _column(ctx, x0, restrict, k)[k].get(x0, zero)
-        if scalars.valuation_of(element) != 0:
+        if element.valuation != 0:
             continue
-        c = ctx.field.standard_part(element)
-        diff = element - ctx.field.from_rational(c)
-        certified = scalars.indistinguishable(diff, ctx.field.zero()) and scalars.guarantee_of(
-            diff
-        ) == INF
-        if not certified and not scalars.certainly_positive(diff):
+        c = element.standard_part()
+        diff = element - ctx.field.rational(c)
+        if scalars.is_zero_like(diff) or diff.sign() < 0:
             # element sits below its standard part in higher order; half the
             # bound is then certified strictly below the element.
             c = c / 2
@@ -354,16 +347,11 @@ class NeumannReport:
     certificate: object = None
 
     def to_json(self):
-        from .field import guarantee_str
-
         out = {
             "x": self.x,
             "y": self.y,
             "N": self.N,
-            "partial_sum": {
-                "value": str(self.partial_sum),
-                "guarantee": guarantee_str(scalars.guarantee_of(self.partial_sum)),
-            },
+            "partial_sum": scalar_json(self.partial_sum),
             "term_valuations": [guarantee_str(v) for v in self.term_valuations],
             "trend": self.trend,
         }
@@ -382,7 +370,7 @@ def neumann_partial(ctx: TransitionContext, x, y, N, restrict=None) -> NeumannRe
     total = ctx.field.zero()
     for element in powers:
         total = total + element
-    valuations = tuple(scalars.valuation_of(p) for p in powers)
+    valuations = tuple(p.valuation for p in powers)
     nonzero = [v for v in valuations if v != INF]
     trend = convergence_evidence(nonzero)
     if restrict is not None:
@@ -406,8 +394,6 @@ class InverseCheckReport:
     difference_valuations: dict
 
     def to_json(self):
-        from .field import guarantee_str
-
         return {
             "ok": self.ok,
             "N_used": self.N_used,
@@ -446,18 +432,14 @@ def neumann_inverse_check(
             total[v] = total.get(v, zero) + value
         diffs = {v: total.get(v, zero) - inverse[v] for v in K}
         if all(
-            not scalars.certainly_nonzero(d) or scalars.valuation_of(d) >= target_valuation
-            for d in diffs.values()
+            not d or d.valuation >= target_valuation for d in diffs.values()
         ):
             return InverseCheckReport(
-                True,
-                n,
-                certificate.rate,
-                {v: scalars.valuation_of(d) for v, d in diffs.items()},
+                True, n, certificate.rate, {v: d.valuation for v, d in diffs.items()}
             )
     diffs = {v: total.get(v, zero) - inverse[v] for v in K}
     return InverseCheckReport(
-        False, n, certificate.rate, {v: scalars.valuation_of(d) for v, d in diffs.items()}
+        False, n, certificate.rate, {v: d.valuation for v, d in diffs.items()}
     )
 
 

@@ -10,7 +10,6 @@ from fractions import Fraction
 
 import pytest
 
-from nacap import scalars
 from nacap.capacity import (
     DIVERGENT,
     NULL,
@@ -171,7 +170,7 @@ class TestCriterion4:
                     break
                 if not diff.terms:
                     N_used = n
-                    target_valuation = scalars.guarantee_of(diff)
+                    target_valuation = diff.guarantee
                     break
         ok_series = N_used is not None and target_valuation >= 8
 

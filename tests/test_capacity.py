@@ -6,6 +6,7 @@ import pytest
 
 from nacap.errors import PreconditionError
 from nacap.field import INF, LCElement, precision
+from nacap.ratfunc import RFElement
 from nacap.graphs import (
     ConstantRule,
     ExplicitListRule,
@@ -217,19 +218,15 @@ class TestMonotoneCompare:
 class TestRealSweep:
     def test_factorial_weights_partial_sums(self):
         # b_r(k, k+1) = k! r^k: cap_{N,r}(0) = (sum_{k<N} r^-k / k!)^{-1}.
-        from nacap.graphs import RationalFunctionField
-
-        graph = make_path(FactorialMonomialRule(), field=RationalFunctionField)
+        graph = make_path(FactorialMonomialRule(), field=RFElement)
         table = real_sweep(graph, 0, 3, [Fraction(1, 2)], 25)
         expected = 1 / sum(Fraction(2**k, __import__("math").factorial(k)) for k in range(25))
         assert table.rows[0].capacity == expected
         assert abs(float(table.rows[0].capacity) - float(2.718281828459045**-2)) < 1e-6
 
     def test_inverted_factorial_capacity_shrinks(self):
-        from nacap.graphs import RationalFunctionField
-
         graph = make_path(
-            FactorialMonomialRule(invert=True), field=RationalFunctionField
+            FactorialMonomialRule(invert=True), field=RFElement
         )
         caps = [
             real_sweep(graph, 0, 0, [Fraction(1, 2)], N).rows[0].capacity
@@ -240,12 +237,11 @@ class TestRealSweep:
 
     def test_nonpositive_weight_rejected(self):
         from nacap.errors import NonpositiveWeightError
-        from nacap.graphs import RationalFunctionField
         from nacap.graphs import ExplicitListRule
 
         graph = make_path(
             ExplicitListRule(("1 - 2*e^(1)",), tail=MonomialRule()),
-            field=RationalFunctionField,
+            field=RFElement,
         )
         with pytest.raises(NonpositiveWeightError):
             real_sweep(graph, 0, 0, [Fraction(3, 4)], 2)

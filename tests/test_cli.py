@@ -144,6 +144,17 @@ class TestDeterminismAndErrors:
         code, _, _ = run(capsys, "classify", "--spec", "/does/not/exist.json")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flag, counts",
+        [("--n", ("--n", "-1", "--series", "3")), ("--series", ("--n", "2", "--series", "-1"))],
+    )
+    def test_transition_refuses_a_negative_count(self, capsys, flag, counts):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["transition", "--spec", "ex6", "--x", "1", "--y", "2", *counts])
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2 and captured.out == ""
+        assert f"argument {flag}: must be nonnegative, got -1" in captured.err
+
     def test_precondition_exit_code(self, capsys):
         # Null capacity: Hardy construction must refuse with exit code 4.
         code, _, err = run(capsys, "hardy", "--spec", "ex1")

@@ -26,7 +26,7 @@ class TestSign:
         assert rf((0,), (1, 1)).sign() == 0
 
     def test_total_order(self):
-        third = RFElement.constant(Fraction(1, 3))
+        third = RFElement.rational(Fraction(1, 3))
         r = RFElement.monomial(1, 1)
         assert r < third  # r behaves as an infinitesimal
         assert r > 0
@@ -90,6 +90,6 @@ class TestEval:
     def test_standard_part(self):
         assert rf((2, 1), (1, 1)).standard_part() == 2
         assert rf((0, 1), (1, 1)).standard_part() == 0
-        assert RFElement.constant(0).standard_part() == 0
+        assert RFElement.rational(0).standard_part() == 0
         with pytest.raises(PoleError):
             RFElement.monomial(1, -1).standard_part()

@@ -9,13 +9,13 @@ import pytest
 from nacap import transition
 from nacap.errors import ConvergenceNotCertifiedError
 from nacap.field import INF, LCElement, precision
+from nacap.ratfunc import RFElement
 from nacap.graphs import (
     ConstantRule,
     ExplicitListRule,
     FactorialMonomialRule,
     HalfPowerRule,
     MonomialRule,
-    RationalFunctionField,
     make_path,
 )
 from nacap.specfile import build_graph, load_spec
@@ -208,7 +208,7 @@ class TestDecayCertificates:
         # b(k,k+1) = k! r^k gives P^2(0,0) = 1/(1+r): standard part 1, which
         # lies above the element, so the certified bound is 1/2; at r = 1/2
         # the real value 2/3 is exact.
-        graph = make_path(FactorialMonomialRule(), field=RationalFunctionField)
+        graph = make_path(FactorialMonomialRule(), field=RFElement)
         cert = nonvanishing_certificate(TransitionContext(graph), 0, max_power=4)
         assert cert.power == 2 and cert.bound == Fraction(1, 2)
         real = TransitionContext(graph.evaluated_at(Fraction(1, 2)))

@@ -32,13 +32,11 @@ def reference_nonvanishing_certificate(ctx, x0, max_power=8, restrict=None):
     powers = reference_transition_powers(ctx, x0, x0, max_power, restrict=restrict)
     for k in range(2, max_power + 1):
         element = powers[k]
-        if scalars.valuation_of(element) != 0:
+        if element.valuation != 0:
             continue
-        c = ctx.field.standard_part(element)
-        diff = element - ctx.field.from_rational(c)
-        certified = scalars.indistinguishable(diff, ctx.field.zero()) and scalars.guarantee_of(
-            diff
-        ) == INF
+        c = element.standard_part()
+        diff = element - ctx.field.rational(c)
+        certified = diff.indistinguishable(ctx.field.zero()) and diff.guarantee == INF
         if not certified and not scalars.certainly_positive(diff):
             c = c / 2
         return NonvanishingCertificate(x0, k, c)
