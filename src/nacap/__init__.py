@@ -71,7 +71,6 @@ from .capacity import (
     classify_spherical,
     monotone_compare,
     nash_williams,
-    path_series_capacity,
     real_sweep,
 )
 from .potential import (

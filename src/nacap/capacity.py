@@ -206,15 +206,11 @@ class CapacityVerdict:
 
 def _profile_of(source) -> tuple:
     """(b_plus rule, sphere sizes, field, graph-or-None) from a profile or a
-    rule-backed path/spherical graph."""
+    graph; the rule and the sizes are None on an explicit graph."""
     if isinstance(source, SphericalProfile):
         return source.b_plus, source.sphere_sizes, LCElement, None
     if isinstance(source, WeightedGraph):
-        rule = source.weight_rule
-        sizes = source.sphere_sizes
-        if rule is None or sizes is None:
-            return None, None, source.field, source
-        return rule, sizes, source.field, source
+        return source.weight_rule, source.sphere_sizes, source.field, source
     raise TypeError("expected a SphericalProfile or a WeightedGraph")
 
 
@@ -489,13 +485,3 @@ def real_sweep(graph, a, n_power, r_values, N) -> RealSweepTable:
         rows.append(RealSweepRow(r, cap, cap / r**n_power))
     return RealSweepTable(a, N, n_power, tuple(rows))
 
-
-def path_series_capacity(graph, a, n):
-    """Independent series-law oracle for capacities on path graphs rooted at
-    0: cap_n(0) = (sum_{k<n} 1/b(k, k+1))^{-1}."""
-    if graph.kind != "path" or a != 0:
-        raise PreconditionError("series law oracle applies to path graphs rooted at 0")
-    total = graph.field.zero()
-    for k in range(n):
-        total = total + graph.weight(k, k + 1).inv()
-    return total.inv()

@@ -177,8 +177,64 @@ def _reciprocal_terms(h: "LCElement", cfg: PrecisionConfig):
     return terms, bound
 
 
+class OrderedFieldElement:
+    """The operators an ordered-field element derives from its own
+    ``_coerce``, ``+``, ``*``, unary ``-``, ``inv`` and ``compare``."""
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
+
+    def __truediv__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self * other.inv()
+
+    def __rtruediv__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other * self.inv()
+
+    def __pow__(self, n: int):
+        """Square-and-multiply; a negative power inverts first."""
+        if not isinstance(n, int):
+            return NotImplemented
+        if n < 0:
+            return self.inv() ** (-n)
+        result = self.one()
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base if n > 1 else base
+            n >>= 1
+        return result
+
+    def __lt__(self, other):
+        return self.compare(other) < 0
+
+    def __le__(self, other):
+        return self.compare(other) <= 0
+
+    def __gt__(self, other):
+        return self.compare(other) > 0
+
+    def __ge__(self, other):
+        return self.compare(other) >= 0
+
+
 @dataclass(frozen=True)
-class LCElement:
+class LCElement(OrderedFieldElement):
     """A truncated Levi-Civita series with a precision certificate.
 
     terms: ((exponent, coefficient), ...) with strictly increasing exponents
@@ -329,18 +385,6 @@ class LCElement:
     def __neg__(self):
         return LCElement(tuple((e, -c) for e, c in self.terms), self.guarantee)
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -400,32 +444,6 @@ class LCElement:
             guarantee if guarantee == INF else guarantee - q0,
         )
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inv()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inv()
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inv() ** (-n)
-        result = _ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
     # -- order --------------------------------------------------------------
 
     def compare(self, other) -> int:
@@ -462,18 +480,6 @@ class LCElement:
         if other is NotImplemented:
             raise TypeError(f"cannot compare LCElement with {type(other)!r}")
         return not (self - other).terms
-
-    def __lt__(self, other):
-        return self.compare(other) < 0
-
-    def __le__(self, other):
-        return self.compare(other) <= 0
-
-    def __gt__(self, other):
-        return self.compare(other) > 0
-
-    def __ge__(self, other):
-        return self.compare(other) >= 0
 
     def with_guarantee(self, guarantee) -> "LCElement":
         """Lower the guarantee (never raises it); terms at or above the new

@@ -11,8 +11,9 @@ order used everywhere else.
 
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from typing import Callable, Optional, Tuple
 
@@ -297,7 +298,8 @@ class ListSize:
 class SphericalProfile:
     """Layered-graph profile: outward sphere weight per level, sphere sizes,
     and optionally the inward sphere weight (validated against the
-    compatibility identity #S_k b_plus(k) = #S_{k+1} b_minus(k+1))."""
+    compatibility identity #S_k b_plus(k) = #S_{k+1} b_minus(k+1)).  With
+    the default unit sphere sizes it is a path."""
 
     b_plus: object
     sphere_sizes: object = dc_field(default_factory=ConstantSize)
@@ -343,58 +345,15 @@ class DegreeMeasure:
 # ---------------------------------------------------------------------------
 
 
-class _PathStructure:
-    """V = {0, 1, 2, ...} with edges (k, k+1) weighted by a rule."""
-
-    kind = "path"
-
-    def __init__(self, rule, field):
-        self.rule = rule
-        self.field = field
-        self._weights: dict = {}
-        self.edge_count = rule_edge_count(rule)
-
-    def _edge_weight(self, k: int):
-        if k not in self._weights:
-            w = self.rule.value(k, self.field)
-            if not w or w.sign() <= 0:
-                raise NonpositiveWeightError(f"edge ({k},{k + 1}) has nonpositive weight")
-            self._weights[k] = w
-        return self._weights[k]
-
-    def vertex_exists(self, v: int) -> bool:
-        if v < 0:
-            return False
-        return self.edge_count is None or v <= self.edge_count
-
-    def neighbors_of(self, v: int):
-        if not self.vertex_exists(v):
-            raise HorizonExhaustedError(f"path vertex {v} outside the graph")
-        out = []
-        if v > 0:
-            out.append((v - 1, self._edge_weight(v - 1)))
-        if self.edge_count is None or v < self.edge_count:
-            out.append((v + 1, self._edge_weight(v)))
-        return out
-
-    @property
-    def vertex_count(self) -> Optional[int]:
-        return None if self.edge_count is None else self.edge_count + 1
-
-    def weight_rule(self):
-        return self.rule
-
-    def evaluated_at(self, r0: Fraction):
-        return _PathStructure(_EvaluatedRule(self.rule, r0), LCElement)
-
-
 class _EvaluatedRule:
     """A rational-function rule evaluated at a rational point r0 > 0; its
-    values are exact constants of the field it is asked for."""
+    values are exact constants of the field it is asked for.  It ends where
+    the base rule ends."""
 
     def __init__(self, base, r0):
         self.base = base
         self.r0 = Q(r0)
+        self.edge_count = rule_edge_count(base)
 
     def value(self, k: int, field):
         w = self.base.value(k, RFElement).eval_at(self.r0)
@@ -411,48 +370,47 @@ class _EvaluatedRule:
         return {"rule": "evaluated", "r": str(self.r0), "base": self.base.to_json()}
 
 
-class _SphericalStructure:
+class _LayeredStructure:
     """Layered realization of a weakly spherically symmetric profile:
     consecutive spheres are joined completely with a uniform edge weight, so
-    b_plus and b_minus depend on the level only."""
+    b_plus and b_minus depend on the level only.  A path is the profile
+    whose spheres all have one vertex.  A weight rule with a finite
+    edge_count ends the graph at sphere edge_count."""
 
-    kind = "spherical"
-
-    def __init__(self, profile: SphericalProfile, field):
-        self.profile = profile
-        self.field = field
-        self._starts = [0, 1]  # vertex index where each level starts
-        self._level_weights: dict = {}
+    def __init__(self, profile: SphericalProfile, field, kind: str):
         if profile.sphere_sizes.value(0) != 1:
             raise IncompatibleProfileError("sphere 0 must contain exactly the root")
+        self.profile = profile
+        self.field = field
+        self.kind = kind
+        self.last_level = rule_edge_count(profile.b_plus)  # None: no last sphere
+        self._starts = [0, 1]  # vertex index where each level starts
+        self._level_weights: dict = {}
+
+    def _start(self, level: int) -> int:
+        while len(self._starts) <= level:
+            k = len(self._starts) - 1
+            size = self.profile.sphere_sizes.value(k)
+            if size < 1:
+                raise IncompatibleProfileError(f"sphere {k} has nonpositive size")
+            self._starts.append(self._starts[-1] + size)
+        return self._starts[level]
 
     def _size(self, level: int) -> int:
-        size = self.profile.sphere_sizes.value(level)
-        if size < 1:
-            raise IncompatibleProfileError(f"sphere {level} has nonpositive size")
-        return size
-
-    def _ensure_level(self, level: int):
-        while len(self._starts) <= level + 1:
-            k = len(self._starts) - 1
-            self._starts.append(self._starts[-1] + self._size(k))
-
-    def _level_of(self, v: int) -> int:
-        level = 0
-        self._ensure_level(1)
-        while True:
-            self._ensure_level(level + 1)
-            if v < self._starts[level + 1]:
-                return level
-            level += 1
+        return self._start(level + 1) - self._start(level)
 
     def _edge_weight(self, level: int):
         """Uniform weight of one edge between sphere `level` and `level+1`."""
         if level not in self._level_weights:
-            b_plus = self.profile.b_plus.value(level, self.field)
-            if b_plus.sign() <= 0:
-                raise NonpositiveWeightError(f"b_plus({level}) is nonpositive")
-            w = b_plus / self.field.rational(self._size(level + 1))
+            w = self.profile.b_plus.value(level, self.field)
+            if not w or w.sign() <= 0:
+                raise NonpositiveWeightError(
+                    f"b_plus({level}), the weight from sphere {level} to sphere "
+                    f"{level + 1}, is nonpositive"
+                )
+            outer = self._size(level + 1)
+            if outer > 1:
+                w = w / self.field.rational(outer)
             if self.profile.b_minus is not None:
                 implied = w * self.field.rational(self._size(level))
                 stated = self.profile.b_minus.value(level + 1, self.field)
@@ -465,34 +423,33 @@ class _SphericalStructure:
         return self._level_weights[level]
 
     def vertex_exists(self, v: int) -> bool:
-        return v >= 0
+        if v < 0:
+            return False
+        return self.last_level is None or v < self._start(self.last_level + 1)
 
     def neighbors_of(self, v: int):
-        level = self._level_of(v)
+        if not self.vertex_exists(v):
+            raise HorizonExhaustedError(f"vertex {v} outside the graph")
+        while self._starts[-1] <= v:
+            self._start(len(self._starts))
+        level = bisect.bisect_right(self._starts, v) - 1
         out = []
         if level > 0:
             w = self._edge_weight(level - 1)
-            out.extend(
-                (u, w) for u in range(self._starts[level - 1], self._starts[level])
-            )
-        w = self._edge_weight(level)
-        self._ensure_level(level + 2)
-        out.extend((u, w) for u in range(self._starts[level + 1], self._starts[level + 2]))
+            out.extend((u, w) for u in range(self._start(level - 1), self._start(level)))
+        if level != self.last_level:
+            w = self._edge_weight(level)
+            out.extend((u, w) for u in range(self._start(level + 1), self._start(level + 2)))
         return out
 
     @property
     def vertex_count(self) -> Optional[int]:
-        return None
-
-    def weight_rule(self):
-        return self.profile.b_plus
-
-    def sphere_sizes(self):
-        return self.profile.sphere_sizes
+        return None if self.last_level is None else self._start(self.last_level + 1)
 
 
 class _ExplicitStructure:
     kind = "explicit"
+    profile = None
 
     def __init__(self, n: int, edges, field):
         self.n = n
@@ -519,9 +476,6 @@ class _ExplicitStructure:
     @property
     def vertex_count(self) -> Optional[int]:
         return self.n
-
-    def weight_rule(self):
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -637,15 +591,13 @@ class WeightedGraph:
 
     @property
     def weight_rule(self):
-        return self._structure.weight_rule()
+        profile = self._structure.profile
+        return None if profile is None else profile.b_plus
 
     @property
     def sphere_sizes(self):
-        if self.kind == "spherical":
-            return self._structure.sphere_sizes()
-        if self.kind == "path":
-            return ConstantSize(1)
-        return None
+        profile = self._structure.profile
+        return None if profile is None else profile.sphere_sizes
 
     # -- derived graphs ---------------------------------------------------------
 
@@ -660,7 +612,9 @@ class WeightedGraph:
             raise SpecFileError("evaluated_at applies to rational-function graphs")
         if self.kind != "path":
             raise SpecFileError("real evaluation is implemented for path graphs")
-        structure = self._structure.evaluated_at(Q(r0))
+        profile = self._structure.profile
+        profile = replace(profile, b_plus=_EvaluatedRule(profile.b_plus, r0))
+        structure = _LayeredStructure(profile, LCElement, self.kind)
         return WeightedGraph(structure, LCElement, ConstantMeasure(), self.label)
 
 
@@ -677,13 +631,14 @@ def _as_rule(rule):
 
 def make_path(weight_rule, measure=None, field=LCElement, label="") -> WeightedGraph:
     """Path graph on {0, 1, 2, ...} with b(k, k+1) given by the rule and
-    measure 1 unless stated otherwise."""
-    return WeightedGraph(_PathStructure(_as_rule(weight_rule), field), field, measure, label)
+    measure 1 unless stated otherwise: the profile with unit spheres."""
+    profile = SphericalProfile(_as_rule(weight_rule))
+    return WeightedGraph(_LayeredStructure(profile, field, "path"), field, measure, label)
 
 
 def make_spherical(profile: SphericalProfile, measure=None, field=LCElement, label="") -> WeightedGraph:
     """Layered graph realizing a weakly spherically symmetric profile."""
-    return WeightedGraph(_SphericalStructure(profile, field), field, measure, label)
+    return WeightedGraph(_LayeredStructure(profile, field, "spherical"), field, measure, label)
 
 
 def make_explicit(n: int, edges, measure=None, field=LCElement, label="") -> WeightedGraph:

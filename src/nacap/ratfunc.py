@@ -29,7 +29,7 @@ from typing import Tuple
 
 from .errors import PoleError, SpecFileError
 from .exact import Q, RATIONAL_TYPES
-from .field import INF, parse_element
+from .field import INF, OrderedFieldElement, parse_element
 
 Poly = Tuple[Fraction, ...]  # coefficient at index k multiplies r**k
 
@@ -170,7 +170,7 @@ def _scaled(num: Poly, den: Poly) -> "RFElement":
 
 
 @dataclass(frozen=True)
-class RFElement:
+class RFElement(OrderedFieldElement):
     """An element of Q(r) in normal form.  Structural equality is value
     equality; order comparisons follow the sign rule at r = 0+."""
 
@@ -285,18 +285,6 @@ class RFElement:
     def __neg__(self):
         return RFElement(pneg(self.num), self.den)
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -319,28 +307,6 @@ class RFElement:
             raise ZeroDivisionError("inverse of zero rational function")
         return _scaled(self.den, self.num)
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inv()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inv()
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inv() ** (-n)
-        result = _ONE
-        for _ in range(n):
-            result = result * self
-        return result
-
     # -- order ----------------------------------------------------------------
 
     def compare(self, other) -> int:
@@ -348,18 +314,6 @@ class RFElement:
         if other is NotImplemented:
             raise TypeError(f"cannot compare RFElement with {type(other)!r}")
         return (self - other).sign()
-
-    def __lt__(self, other):
-        return self.compare(other) < 0
-
-    def __le__(self, other):
-        return self.compare(other) <= 0
-
-    def __gt__(self, other):
-        return self.compare(other) > 0
-
-    def __ge__(self, other):
-        return self.compare(other) >= 0
 
     def indistinguishable(self, other) -> bool:
         return self.compare(other) == 0

@@ -126,6 +126,67 @@ class TestCommands:
         assert rows[0]["r"] == "1/2"
         assert abs(rows[0]["capacity_float"] - 0.1353353) < 1e-4
 
+    @pytest.mark.parametrize("horizon, capacity", [(3, "6/31"), (4, "0"), (6, "0")])
+    def test_real_sweep_stops_at_the_end_of_a_finite_path(
+        self, capsys, tmp_path, horizon, capacity
+    ):
+        # Three edges: from horizon 4 on the ball is the whole graph, whose
+        # boundary is empty, so the real capacity is 0 like the Q(r) one,
+        # and the capacity sequence stops at the fourth ball.
+        spec = tmp_path / "finite.json"
+        spec.write_text(json.dumps({
+            "field": "rational-function",
+            "kind": "path",
+            "weights": ["1 + 1*e^(1)", "2", "1*e^(2)"],
+        }))
+        report = run_json(
+            capsys, "real-sweep", "--spec", str(spec), "--r", "1/2", "--horizon", str(horizon)
+        )
+        assert report["outputs"]["table"]["rows"][0]["capacity"] == capacity
+        report = run_json(capsys, "capacity", "--spec", str(spec), "--horizon", str(horizon))
+        values = [node["value"] for node in report["outputs"]["values"]]
+        assert values[3:] == ([] if horizon == 3 else ["0"])
+
+
+# Every fixture under every subcommand, at small horizons: each run ends with
+# a documented exit code, never a traceback.
+MATRIX_COMMANDS = (
+    "solve-dp --horizon 3",
+    "solve-dp --horizon 3 --renormalized",
+    "capacity --horizon 3",
+    "classify",
+    "nash-williams --horizon 6",
+    "green --x 1 --y 0 --horizon 3",
+    "transition --x 0 --y 0 --n 3",
+    "transition --x 0 --y 1 --n 3 --series 4",
+    "transition --x 0 --y 0 --n 4 --restrict 2",
+    "transition --x 0 --y 2 --n 4 --max-product",
+    "harnack --set 0,1,2",
+    "superharmonic --u 1,1,1",
+    "hardy --samples 2 --horizon 4",
+    "real-sweep --r 1/2 --horizon 3",
+)
+EX9_LIMIT = pytest.mark.xfail(
+    strict=True,
+    raises=AttributeError,
+    reason="ROADMAP item 3: the ex9 capacity limit calls with_guarantee, which RFElement lacks",
+)
+
+
+def matrix_cases():
+    for i in range(1, 10):
+        for command in MATRIX_COMMANDS:
+            name = command.split()[0]
+            marks = EX9_LIMIT if i == 9 and name in ("classify", "capacity", "hardy") else ()
+            yield pytest.param(f"ex{i}", command, marks=marks, id=f"ex{i}-{command}")
+
+
+@pytest.mark.parametrize("fixture, command", matrix_cases())
+def test_fixture_command_matrix(capsys, fixture, command):
+    name, *options = command.split()
+    code, _, _ = run(capsys, name, "--spec", fixture, *options)
+    assert code in (0, 2, 3, 4)
+
 
 class TestDeterminismAndErrors:
     def test_byte_identical_reports(self, capsys):

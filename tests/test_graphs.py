@@ -11,6 +11,7 @@ from nacap.errors import (
 )
 from nacap.field import LCElement
 from nacap.graphs import (
+    FIELDS,
     ConstantRule,
     ConstantSize,
     ExplicitListRule,
@@ -23,6 +24,7 @@ from nacap.graphs import (
     make_path,
     make_spherical,
 )
+from nacap.specfile import load_spec, parse_weight_rule
 
 EPS = LCElement.eps()
 
@@ -97,12 +99,40 @@ class TestMakePath:
         assert g.measure(3) == LCElement.rational(2)
 
 
+def fixture_rule(name):
+    """(weight rule, field) of a bundled fixture."""
+    data = load_spec(name)
+    return parse_weight_rule(data["weights"]), FIELDS[data["field"]]
+
+
+PATH_RULES = {f"ex{i}": fixture_rule(f"ex{i}") for i in range(1, 10)}
+PATH_RULES["tailless_list"] = (ExplicitListRule(("1", "1*e^(1)", "2")), LCElement)
+
+
 class TestMakeSpherical:
-    def test_path_profile_is_path(self):
-        profile = SphericalProfile(ConstantRule(1), ConstantSize(1))
+    @pytest.mark.parametrize("name", sorted(PATH_RULES))
+    def test_path_profile_is_path(self, name):
+        rule, field = PATH_RULES[name]
+        path = make_path(rule, field=field)
+        layered = make_spherical(SphericalProfile(rule, ConstantSize(1)), field=field)
+        ball = path.ball(0, 6)
+        assert ball == layered.ball(0, 6) == tuple(range(len(ball)))
+        for v in ball:
+            assert path.neighbors(v) == layered.neighbors(v)
+            for u, w in path.neighbors(v).items():
+                assert w == rule.value(min(u, v), field)
+        assert path.vertex_count == layered.vertex_count
+        assert path.vertex_count == (4 if name == "tailless_list" else None)
+
+    def test_finite_profile_ends_after_last_level(self):
+        # A tail-less weight list of 3 entries ends the graph at sphere 3.
+        profile = SphericalProfile(ExplicitListRule(("1", "1", "1")), PowerSize(2))
         g = make_spherical(profile)
-        assert g.ball(0, 4) == (0, 1, 2, 3)
-        assert g.weight(1, 2) == LCElement.one()
+        assert g.vertex_count == 1 + 2 + 4 + 8
+        assert g.ball(0, 10) == tuple(range(15))
+        assert g.neighbors(14) == {u: LCElement.rational(Fraction(1, 8)) for u in range(3, 7)}
+        with pytest.raises(HorizonExhaustedError):
+            g.neighbors(15)
 
     def test_profile_weights_match(self):
         profile = SphericalProfile(MonomialRule(), PowerSize(2))

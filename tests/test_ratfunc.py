@@ -52,6 +52,8 @@ class TestArithmetic:
         assert (g + h) - h == g
         assert (g * h) / h == g
         assert (g * g.inv()).compare(1) == 0
+        assert g ** 5 == g * g * g * g * g
+        assert g ** -2 == (g * g).inv()
 
     def test_embed_geometric(self):
         # r/(1-r) expands to e + e^2 + ...; multiply-back oracle.
