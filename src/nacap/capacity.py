@@ -18,14 +18,8 @@ from . import scalars
 from .dirichlet import effective_capacity
 from .errors import PrecisionExhaustedError, PreconditionError
 from .exact import Q
-from .field import INF, LCElement, active_precision, guarantee_str, scalar_json
-from .graphs import (
-    ConstantSize,
-    SphericalProfile,
-    Trend,
-    WeightedGraph,
-    make_spherical,
-)
+from .field import INF, active_precision, guarantee_str, scalar_json
+from .graphs import ConstantSize, Trend
 
 NULL = "null"
 POSITIVE = "positive"
@@ -204,17 +198,11 @@ class CapacityVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _profile_of(source) -> tuple:
-    """(b_plus rule, sphere sizes, field, graph-or-None) from a profile or a
-    graph; the rule and the sizes are None on an explicit graph."""
-    if isinstance(source, SphericalProfile):
-        return source.b_plus, source.sphere_sizes, LCElement, None
-    if isinstance(source, WeightedGraph):
-        return source.weight_rule, source.sphere_sizes, source.field, source
-    raise TypeError("expected a SphericalProfile or a WeightedGraph")
+# Terms of the capacity series summed before giving up on leaving the window.
+SERIES_MAX_TERMS = 10_000
 
 
-def spherical_capacity_limit(rule, sizes, field, max_terms=10_000):
+def spherical_capacity_limit(rule, sizes, field):
     """Exact limit (sum over k of 1/b(boundary B_{k+1}))^{-1} for a profile
     whose outward weights tend to infinity.  The summation stops once term
     valuations leave the window; the omitted tail is recorded in the
@@ -223,7 +211,7 @@ def spherical_capacity_limit(rule, sizes, field, max_terms=10_000):
     total = field.zero()
     anchor = None
     k = 0
-    while k < max_terms:
+    while k < SERIES_MAX_TERMS:
         # b(boundary of B_{k+1}) = #S_k * b_plus(k)
         boundary = rule.value(k, field) * field.rational(sizes.value(k))
         term = boundary.inv()
@@ -237,11 +225,11 @@ def spherical_capacity_limit(rule, sizes, field, max_terms=10_000):
         k += 1
     raise PrecisionExhaustedError(
         "spherical capacity series did not leave the window within "
-        f"{max_terms} terms"
+        f"{SERIES_MAX_TERMS} terms"
     )
 
 
-def classify_spherical(source, horizon: int = 32) -> CapacityVerdict:
+def classify_spherical(graph, horizon: int = 32) -> CapacityVerdict:
     """Exact capacity type of a weakly spherically symmetric graph via the
     trend of its outward sphere weights:
 
@@ -253,16 +241,16 @@ def classify_spherical(source, horizon: int = 32) -> CapacityVerdict:
     Unrecognized profiles yield an inconclusive verdict with horizon
     evidence.
     """
-    rule, sizes, field, graph = _profile_of(source)
+    rule, field = graph.weight_rule, graph.field
     if rule is None:
-        return _horizon_verdict(graph, 0, horizon, None)
+        return _horizon_verdict(graph, 0, horizon)
     trend = rule.trend(field)
     rule_json = rule.to_json()
     if trend.kind == Trend.TO_ZERO:
         certificate = SphericalFormulaCertificate(rule_json, trend.kind)
         return CapacityVerdict(NULL, root=0, certificate=certificate)
     if trend.kind == Trend.TO_INFINITY:
-        limit, terms = spherical_capacity_limit(rule, sizes, field)
+        limit, terms = spherical_capacity_limit(rule, graph.sphere_sizes, field)
         certificate = SphericalFormulaCertificate(rule_json, trend.kind, terms_summed=terms)
         return CapacityVerdict(POSITIVE, root=0, limit=limit, certificate=certificate)
     if trend.kind == Trend.TWO_SIDED:
@@ -270,9 +258,7 @@ def classify_spherical(source, horizon: int = 32) -> CapacityVerdict:
             rule_json, trend.kind, lower=trend.lower, upper=trend.upper
         )
         return CapacityVerdict(DIVERGENT, root=0, certificate=certificate)
-    if graph is None:
-        graph = make_spherical(SphericalProfile(rule, sizes), field=field)
-    return _horizon_verdict(graph, 0, horizon, None)
+    return _horizon_verdict(graph, 0, horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -358,14 +344,14 @@ def _edge_lower_bound(graph, a, N):
     return None, None
 
 
-def _horizon_verdict(graph, a, N, threshold) -> CapacityVerdict:
+def _horizon_verdict(graph, a, N) -> CapacityVerdict:
     sequence = capacity_sequence(graph, a, N)
-    evidence = convergence_evidence(sequence.difference_valuations, threshold)
+    evidence = convergence_evidence(sequence.difference_valuations)
     certificate = HorizonEvidenceCertificate(sequence.difference_valuations, evidence)
     return CapacityVerdict(INCONCLUSIVE, root=a, certificate=certificate)
 
 
-def classify_generic(graph, a, N, valuation_threshold=None) -> CapacityVerdict:
+def classify_generic(graph, a, N) -> CapacityVerdict:
     """Certificate-based classification at root a and horizon N.
 
     Order of soundness: recognized spherical profile (exact), provable
@@ -373,7 +359,7 @@ def classify_generic(graph, a, N, valuation_threshold=None) -> CapacityVerdict:
     null; reported as inconclusive with a bounded-below certificate), else
     horizon evidence only.  The verdict is a property of the graph, not of
     the root."""
-    rule, sizes, fieldname, _ = _profile_of(graph)
+    rule = graph.weight_rule
     if rule is not None and rule.trend(graph.field).kind != Trend.UNKNOWN:
         return classify_spherical(graph, horizon=N)
 
@@ -388,7 +374,7 @@ def classify_generic(graph, a, N, valuation_threshold=None) -> CapacityVerdict:
             root=a,
             certificate=BoundedBelowCertificate(bound, scope),
         )
-    return _horizon_verdict(graph, a, N, valuation_threshold)
+    return _horizon_verdict(graph, a, N)
 
 
 # ---------------------------------------------------------------------------

@@ -61,17 +61,8 @@ def _bfs_order(graph, K, a):
     members = set(K)
     if a not in members:
         raise ValueError(f"root {a} not in K")
-    order = [a]
-    seen = {a}
-    i = 0
-    while i < len(order):
-        x = order[i]
-        i += 1
-        for y in graph.neighbors(x):
-            if y in members and y not in seen:
-                seen.add(y)
-                order.append(y)
-    if seen != members:
+    order = [x for sphere in graph.spheres(a, members) for x in sphere]
+    if len(order) != len(members):
         raise DisconnectedSetError("K is not connected")
     return order
 

@@ -418,13 +418,6 @@ class LCElement(OrderedFieldElement):
 
     __rmul__ = __mul__
 
-    def _scaled(self, coefficient: Fraction, shift: Fraction) -> "LCElement":
-        # Exact multiplication by a monomial; no re-truncation needed.
-        guarantee = self.guarantee if self.guarantee == INF else self.guarantee + shift
-        return LCElement(
-            tuple((e + shift, c * coefficient) for e, c in self.terms), guarantee
-        )
-
     def inv(self) -> "LCElement":
         """Multiplicative inverse via leading-term factorization
         x = a0*e^(q0)*(1+h), with 1/(1+h) from ``_reciprocal_terms``."""

@@ -19,6 +19,7 @@ from typing import Callable, Optional, Tuple
 
 from .exact import Q
 from .errors import (
+    DisconnectedSetError,
     HorizonExhaustedError,
     IncompatibleProfileError,
     NonpositiveWeightError,
@@ -65,10 +66,6 @@ class Trend:
     UNKNOWN = "unknown"
 
 
-def _fr(value):
-    return Q(value)
-
-
 @dataclass(frozen=True)
 class MonomialRule:
     """value(k) = coeff * eps^(slope*k + offset)."""
@@ -78,9 +75,9 @@ class MonomialRule:
     coeff: Fraction = Q(1)
 
     def __post_init__(self):
-        object.__setattr__(self, "slope", _fr(self.slope))
-        object.__setattr__(self, "offset", _fr(self.offset))
-        object.__setattr__(self, "coeff", _fr(self.coeff))
+        object.__setattr__(self, "slope", Q(self.slope))
+        object.__setattr__(self, "offset", Q(self.offset))
+        object.__setattr__(self, "coeff", Q(self.coeff))
 
     def value(self, k: int, field):
         return field.monomial(self.coeff, self.slope * k + self.offset)
@@ -109,7 +106,7 @@ class ConstantRule:
     constant: Fraction = Q(1)
 
     def __post_init__(self):
-        object.__setattr__(self, "constant", _fr(self.constant))
+        object.__setattr__(self, "constant", Q(self.constant))
 
     def value(self, k: int, field):
         return field.rational(self.constant)
@@ -132,8 +129,8 @@ class FactorialMonomialRule:
     invert: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "slope", _fr(self.slope))
-        object.__setattr__(self, "offset", _fr(self.offset))
+        object.__setattr__(self, "slope", Q(self.slope))
+        object.__setattr__(self, "offset", Q(self.offset))
 
     def value(self, k: int, field):
         coefficient = Q(math.factorial(k))
@@ -546,21 +543,29 @@ class WeightedGraph:
         distances = self.distances_from(a, n - 1)
         return tuple(distances.keys())
 
+    def spheres(self, a: int, within=None):
+        """Yield the spheres S_0 = {a}, S_1, ... around a in breadth-first
+        order.  Each sphere maps a vertex to the neighbour in the previous
+        sphere that reached it first (None for a).  With `within`, the walk
+        stays inside that vertex set.  A sphere's neighbours are listed only
+        when the next sphere is asked for."""
+        sphere = {a: None}
+        seen = {a}
+        while sphere:
+            yield sphere
+            outer = {}
+            for x in sphere:
+                for y in self.neighbors(x):
+                    if y not in seen and (within is None or y in within):
+                        seen.add(y)
+                        outer[y] = x
+            sphere = outer
+
     def distances_from(self, a: int, radius: int) -> dict:
         """BFS distance map for all vertices within the given radius."""
-        dist = {a: 0}
-        frontier = [a]
-        d = 0
-        while frontier and d < radius:
-            d += 1
-            new_frontier = []
-            for x in frontier:
-                for y in self.neighbors(x):
-                    if y not in dist:
-                        dist[y] = d
-                        new_frontier.append(y)
-            frontier = new_frontier
-        return dist
+        return {
+            x: d for d, sphere in zip(range(radius + 1), self.spheres(a)) for x in sphere
+        }
 
     def boundary_weight(self, vertices):
         """b(boundary W) = sum of b(x, y) over x in W, y outside W."""
@@ -571,21 +576,6 @@ class WeightedGraph:
                 if y not in inside:
                     total = total + w
         return total
-
-    def is_connected_subset(self, vertices) -> bool:
-        vertices = set(vertices)
-        if not vertices:
-            return False
-        start = next(iter(sorted(vertices)))
-        seen = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in self.neighbors(x):
-                if y in vertices and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return seen == vertices
 
     # -- metadata for classification -----------------------------------------------
 
@@ -644,8 +634,6 @@ def make_spherical(profile: SphericalProfile, measure=None, field=LCElement, lab
 def make_explicit(n: int, edges, measure=None, field=LCElement, label="") -> WeightedGraph:
     """Finite graph from an explicit edge list [(x, y, weight), ...]."""
     graph = WeightedGraph(_ExplicitStructure(n, edges, field), field, measure, label)
-    if not graph.is_connected_subset(range(n)):
-        from .errors import DisconnectedSetError
-
+    if n < 1 or sum(map(len, graph.spheres(0))) != n:
         raise DisconnectedSetError("explicit graph is not connected")
     return graph

@@ -23,6 +23,7 @@ from .errors import (
 )
 from .exact import Q
 from .field import scalar_json
+from .graphs import ConstantSize
 
 __all__ = [
     "is_superharmonic",
@@ -86,16 +87,10 @@ def is_superharmonic(graph, u, W) -> SuperharmonicReport:
     return SuperharmonicReport(witness is None, witness, values)
 
 
-def sphere_weight_split(graph, o, x, distances=None):
+def sphere_weight_split(graph, o, x, distances):
     """(b_minus(x), b_plus(x)) relative to the root o: the weight going to
-    the previous and to the next sphere."""
-    if distances is None:
-        radius = 1
-        distances = graph.distances_from(o, radius)
-        while x not in distances:
-            radius *= 2
-            distances = graph.distances_from(o, radius)
-        distances = graph.distances_from(o, distances[x] + 1)
+    the previous and to the next sphere.  `distances` maps vertices to their
+    distance from o and must reach one sphere beyond x."""
     level = distances[x]
     minus = graph.field.zero()
     plus = graph.field.zero()
@@ -169,23 +164,17 @@ def construct_superharmonic(graph, o, c, tau, radius=8) -> SuperharmonicConstruc
     return SuperharmonicConstruction(values, formula, c, tau, radius, report)
 
 
-def _shortest_path_within(graph, members, x, y):
-    parent = {x: None}
-    frontier = [x]
-    while frontier and y not in parent:
-        nxt = []
-        for v in frontier:
-            for w in sorted(graph.neighbors(v)):
-                if w in members and w not in parent:
-                    parent[w] = v
-                    nxt.append(w)
-        frontier = nxt
-    if y not in parent:
-        raise PreconditionError("vertex set is not connected")
-    path = [y]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    return list(reversed(path))
+def _shortest_path(graph, x, y, within=None):
+    """Breadth-first shortest path from x to y, inside `within` if given."""
+    parents = {}
+    for sphere in graph.spheres(x, within):
+        parents.update(sphere)
+        if y in sphere:
+            path = [y]
+            while parents[path[-1]] is not None:
+                path.append(parents[path[-1]])
+            return path[::-1]
+    raise PreconditionError("vertex set is not connected")
 
 
 def harnack_constant(graph, W):
@@ -194,14 +183,15 @@ def harnack_constant(graph, W):
     of b(x_i)/b(x_{i-1}, x_i) along a breadth-first shortest path in W.
 
     Any path yields a valid constant; shortest paths keep it small."""
-    members = sorted(set(W))
+    order = sorted(set(W))
+    members = set(order)
     one = graph.field.one()
     best = one
-    for x in members:
-        for y in members:
+    for x in order:
+        for y in order:
             if x == y:
                 continue
-            path = _shortest_path_within(graph, set(members), x, y)
+            path = _shortest_path(graph, x, y, members)
             product = one
             for previous, current in zip(path, path[1:]):
                 product = (
@@ -261,7 +251,8 @@ class HardyWeight:
 
     provenance: "point_mass" (capacity limit at one vertex),
     "spherical_lower_bounds" (derived per-vertex capacity lower bounds on a
-    path profile), or "user_supplied"."""
+    path, whose edge weights are the profile's b_plus values), or
+    "user_supplied"."""
 
     weights: Mapping
     provenance: str
@@ -279,7 +270,7 @@ def energy_difference_bound(graph, x, y):
     """Constant C with |phi(x) - phi(y)|^2 <= C * Q(phi) for every finitely
     supported phi: 2n divided by the minimal edge weight along a shortest
     connecting path of length n."""
-    path = _shortest_path_within(graph, _reachable(graph, x, y), x, y)
+    path = _shortest_path(graph, x, y)
     n = len(path) - 1
     if n == 0:
         return graph.field.zero()
@@ -291,18 +282,6 @@ def energy_difference_bound(graph, x, y):
     return graph.field.rational(2 * n) * minimum.inv()
 
 
-def _reachable(graph, x, y):
-    # Full-graph BFS membership set large enough to connect x and y.
-    radius = 1
-    while True:
-        distances = graph.distances_from(x, radius)
-        if y in distances:
-            return set(distances)
-        if graph.is_finite and len(distances) == graph.vertex_count:
-            raise PreconditionError("vertices are not connected")
-        radius *= 2
-
-
 def hardy_construct(
     graph, verdict: CapacityVerdict, lower_bounds: Optional[Mapping] = None, horizon: int = 16
 ) -> HardyWeight:
@@ -311,7 +290,7 @@ def hardy_construct(
     Positive capacity: the point mass cap(a) at the verdict root, which is
     the largest possible value of a Hardy weight there.  Otherwise per-vertex
     positive lower bounds m_x on cap_n(x) (supplied by the caller, or derived
-    on path profiles from a certified edge lower bound) are damped by the
+    on paths from a certified edge lower bound) are damped by the
     summable sequence 2^-(i+1) along the vertex enumeration.  Null capacity
     admits no Hardy weight, so construction refuses."""
     if verdict.kind == POSITIVE:
@@ -336,8 +315,8 @@ def hardy_construct(
         verdict.certificate, SphericalFormulaCertificate
     ):
         edge_bound = verdict.certificate.lower
-        if edge_bound is not None and graph.sphere_sizes is not None:
-            # On a path profile every edge weight is at least the bound; by
+        if edge_bound is not None and graph.sphere_sizes == ConstantSize(1):
+            # On a path every edge weight is at least the bound; by
             # the energy-difference bound along the radial path,
             # cap_n(x) >= bound/(2n) >= (bound/2) * eps for every n.
             infinitesimal = graph.field.monomial(1, 1)

@@ -221,6 +221,21 @@ class TestDeterminismAndErrors:
         code, _, err = run(capsys, "hardy", "--spec", "ex1")
         assert code == 4 and "null" in err
 
+    def test_hardy_refuses_growing_spheres(self, capsys, tmp_path):
+        # b_plus = 1 bounds no edge from below when the spheres double: an
+        # edge between S_k and S_{k+1} weighs 2^-(k+1).
+        spec = tmp_path / "pow2.json"
+        spec.write_text(json.dumps({
+            "kind": "spherical",
+            "weights": {"rule": "const"},
+            "sphere_sizes": {"rule": "pow", "base": 2},
+        }))
+        code, out, err = run(
+            capsys, "hardy", "--spec", str(spec), "--samples", "2", "--horizon", "4"
+        )
+        assert code == 4 and out == ""
+        assert "no Hardy weight certificate" in err
+
     @pytest.mark.parametrize(
         "command", [("solve-dp", "--renormalized"), ("green", "--x", "0", "--y", "0")]
     )

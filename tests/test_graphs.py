@@ -1,6 +1,7 @@
 """Graph model: balls, boundaries, generators, spherical realizations."""
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -20,6 +21,7 @@ from nacap.graphs import (
     MonomialRule,
     PowerSize,
     SphericalProfile,
+    WeightedGraph,
     make_explicit,
     make_path,
     make_spherical,
@@ -156,14 +158,50 @@ class TestMakeSpherical:
         with pytest.raises(IncompatibleProfileError):
             g.neighbors(0)
 
-    def test_balls_nest(self):
-        profile = SphericalProfile(HalfPowerRule(), ConstantSize(1))
-        g = make_spherical(profile)
-        previous = set()
-        for n in range(1, 6):
-            current = set(g.ball(0, n))
-            assert previous <= current
-            previous = current
+    def test_balls_nest(self, monkeypatch):
+        # A path (unit spheres), doubling spheres, and an explicit graph in
+        # which vertex 3 neighbours both 1 and 2 and takes 1 as its parent.
+        one = LCElement.one()
+        edges = [(0, 1, one), (0, 2, one), (1, 3, one), (2, 3, EPS), (3, 4, one), (4, 5, one)]
+        graphs = (
+            make_spherical(SphericalProfile(HalfPowerRule(), ConstantSize(1))),
+            make_spherical(SphericalProfile(ConstantRule(1), PowerSize(2))),
+            make_explicit(6, edges),
+        )
+        for g in graphs:
+            previous = set()
+            for n in range(1, 6):
+                current = set(g.ball(0, n))
+                assert previous <= current
+                previous = current
+                spheres = list(islice(g.spheres(0), n))
+                assert tuple(x for sphere in spheres for x in sphere) == g.ball(0, n)
+            assert spheres[0] == {0: None}
+            for inner, outer in zip(spheres, spheres[1:]):
+                for x, parent in outer.items():
+                    assert parent in inner and x in g.neighbors(parent)
+
+        path, doubling, explicit = graphs
+        assert list(path.spheres(0, within={0, 1, 2, 4})) == [{0: None}, {1: 0}, {2: 1}]
+        assert list(doubling.spheres(0, within={0, 2, 3})) == [{0: None}, {2: 0}, {3: 2}]
+        assert list(explicit.spheres(0)) == [{0: None}, {1: 0, 2: 0}, {3: 1}, {4: 3}, {5: 4}]
+        assert list(explicit.spheres(0, within={0, 2, 3})) == [{0: None}, {2: 0}, {3: 2}]
+
+        # Taking k spheres lists the neighbours of the first k - 1 only.
+        listed = []
+        neighbors = WeightedGraph.neighbors
+        monkeypatch.setattr(
+            WeightedGraph, "neighbors", lambda g, v: listed.append(v) or neighbors(g, v)
+        )
+        for g in graphs:
+            for k in range(1, 5):
+                listed.clear()
+                spheres = list(islice(g.spheres(0), k))
+                expanded = sorted(x for sphere in spheres[:-1] for x in sphere)
+                assert sorted(listed) == expanded
+                listed.clear()
+                g.ball(0, k)
+                assert sorted(listed) == expanded
 
 
 class TestExplicit:
