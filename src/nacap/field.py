@@ -11,9 +11,10 @@ strictly below it is exact, everything at or above it is unknown.  Exact
 elements have an infinite guarantee.  Arithmetic truncates results to a
 window of configurable width above the valuation and to a maximum term
 count; any truncation lowers the guarantee instead of silently pretending
-exactness.  Inversion of x = a*e^q*(1+h) computes 1/(1+h) one coefficient
-at a time and is exact below geometric_series_depth * val(h) and within
-the window.  Sign and ordering queries that cannot be certified raise
+exactness.  Division x/y, with y = a*e^q*(1+h), computes x/(1+h) one
+coefficient at a time (long division; 1/y is the inverse) and is exact
+below val(x) + geometric_series_depth * val(h) and within the window.
+Sign and ordering queries that cannot be certified raise
 IndeterminateComparisonError rather than guessing.
 
 All values are immutable and all operations are pure functions of their
@@ -53,10 +54,11 @@ class PrecisionConfig:
 
     window: width W of the kept exponent range [valuation, valuation + W).
     max_terms: maximum stored terms per element.
-    geometric_series_depth: inversion of x = a*e^q*(1+h) is exact below
-        geometric_series_depth * val(h) and within the window, the range a
-        geometric series in h with this many terms certifies; the rest of
-        1/(1+h) is absorbed into the guarantee.
+    geometric_series_depth: division of s by y = a*e^q*(1+h), and so
+        inversion (s = 1), is exact below val(s) + geometric_series_depth *
+        val(h) and within the window, the range a geometric series in h with
+        this many terms certifies; the rest of s/(1+h) is absorbed into the
+        guarantee.
     """
 
     window: Fraction = Fraction(32)
@@ -131,30 +133,36 @@ def _finalize(terms, guarantee, cfg: PrecisionConfig) -> "LCElement":
     return LCElement(tuple(terms), guarantee)
 
 
-def _reciprocal_terms(h: "LCElement", cfg: PrecisionConfig):
-    """Terms and guarantee of 1/(1+h) for h of positive valuation lam.
+def _quotient_terms(s: "LCElement", h: "LCElement", cfg: PrecisionConfig):
+    """Terms and guarantee of s/(1+h) for s of valuation 0 and h of
+    positive valuation lam, by long division.
 
-    The coefficients follow c(0) = 1 and c(e) = -sum_eta h_eta*c(e - eta)
-    in increasing exponent order; only a nonzero c(e) makes e + eta a
-    candidate.  They are exact below min(h.guarantee, (steps+1)*lam), the
-    range a geometric series of ``geometric_series_depth`` terms certifies.
-    The first nonzero coefficient that does not fit, past the window or
-    over ``max_terms``, ends the series and its exponent is the guarantee,
-    since the coefficients between the window's edge and it are known to
-    vanish.  Ending at the window's edge, as ``_finalize`` does, can
-    certify less than the geometric series did."""
-    if not h.terms:
-        return [(Q(0), Q(1))], h.guarantee
-    lam = h.terms[0][0]
-    steps = min(cfg.geometric_series_depth - 1, math.ceil(cfg.window / lam) + 1)
-    bound = min(h.guarantee, (steps + 1) * lam)
+    The coefficients follow c(e) = s(e) - sum_eta h_eta*c(e - eta) in
+    increasing exponent order; the exponents of s are the first candidates,
+    and only a nonzero c(e) makes e + eta one.  They are exact below
+    min(s.guarantee, h.guarantee, (steps+1)*lam), the range a geometric
+    series of ``geometric_series_depth`` terms certifies.  The first nonzero
+    coefficient that does not fit, past the window or over ``max_terms``,
+    ends the series and its exponent is the guarantee, since the
+    coefficients between the window's edge and it are known to vanish.
+    Ending at the window's edge, as ``_finalize`` does, can certify less
+    than the geometric series did."""
+    bound = min(s.guarantee, h.guarantee)
+    if h.terms:
+        lam = h.terms[0][0]
+        steps = min(cfg.geometric_series_depth - 1, math.ceil(cfg.window / lam) + 1)
+        bound = min(bound, (steps + 1) * lam)
     coefficients: dict = {}
     terms = []
-    pending = [Q(0)]
+    pending = [e for e, _ in s.terms if e < bound]
     queued = set(pending)
+    index = 0  # of the next term of s; exponents pop in increasing order
     while pending:
         e = heapq.heappop(pending)
-        c = Q(1) if e == 0 else Q(0)
+        c = _Q0
+        if index < len(s.terms) and s.terms[index][0] == e:
+            c = s.terms[index][1]
+            index += 1
         for eta, h_eta in h.terms:
             if eta > e:
                 break
@@ -418,24 +426,42 @@ class LCElement(OrderedFieldElement):
 
     __rmul__ = __mul__
 
-    def inv(self) -> "LCElement":
-        """Multiplicative inverse via leading-term factorization
-        x = a0*e^(q0)*(1+h), with 1/(1+h) from ``_reciprocal_terms``."""
-        if not self.terms:
-            if self.guarantee == INF:
-                raise ZeroDivisionError("inverse of zero")
+    def __truediv__(self, other):
+        """Long division: with other = a0*e^(q0)*(1+h) and self = e^v*s,
+        self/other = e^(v-q0)/a0 * s/(1+h), s/(1+h) from ``_quotient_terms``."""
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if not other.terms:
+            if other.guarantee == INF:
+                raise ZeroDivisionError("division by zero")
             raise IndeterminateComparisonError(
-                "cannot invert an element that vanishes within its guarantee"
+                "cannot divide by an element that vanishes within its guarantee"
             )
         cfg = active_precision()
-        q0, a0 = self.terms[0]
-        gh = INF if self.guarantee == INF else self.guarantee - q0
-        h = _finalize([(e - q0, c / a0) for e, c in self.terms[1:]], gh, cfg)
-        terms, guarantee = _reciprocal_terms(h, cfg)
+        q0, a0 = other.terms[0]
+        if not self.terms:
+            return LCElement((), self.guarantee - q0)
+        gh = INF if other.guarantee == INF else other.guarantee - q0
+        h = _finalize([(e - q0, c / a0) for e, c in other.terms[1:]], gh, cfg)
+        v = self.terms[0][0]
+        s = LCElement(tuple((e - v, c) for e, c in self.terms), self.guarantee - v) if v else self
+        terms, guarantee = _quotient_terms(s, h, cfg)
+        shift = v - q0
         return LCElement(
-            tuple((e - q0, c / a0) for e, c in terms),
-            guarantee if guarantee == INF else guarantee - q0,
+            tuple((e + shift, c / a0) for e, c in terms),
+            guarantee if guarantee == INF else guarantee + shift,
         )
+
+    def __rtruediv__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other / self
+
+    def inv(self) -> "LCElement":
+        """Multiplicative inverse: 1/self by ``__truediv__``."""
+        return _ONE / self
 
     # -- order --------------------------------------------------------------
 
@@ -490,6 +516,7 @@ class LCElement(OrderedFieldElement):
         return f"LCElement({format_element(self)!r}, guarantee={g})"
 
 
+_Q0 = Q(0)
 _ZERO = LCElement((), INF)
 _ONE = LCElement(((Q(0), Q(1)),), INF)
 

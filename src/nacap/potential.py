@@ -270,6 +270,8 @@ def energy_difference_bound(graph, x, y):
     """Constant C with |phi(x) - phi(y)|^2 <= C * Q(phi) for every finitely
     supported phi: 2n divided by the minimal edge weight along a shortest
     connecting path of length n."""
+    for v in (x, y):  # on an infinite graph a walk towards a missing y never ends
+        graph.neighbors(v)  # HorizonExhaustedError outside the graph
     path = _shortest_path(graph, x, y)
     n = len(path) - 1
     if n == 0:

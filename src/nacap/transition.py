@@ -2,9 +2,10 @@
 
 Matrix powers P^n(x, y) are exact sums over length-n paths, computed by
 repeated sparse application of the operator to a column: f_n = P^n e_y,
-and P^n(x, y) = f_n(x).  A context computes each column once per active
-precision and per (y, restriction), and extends it only as far as a call
-asks, so powers, partial sums and the non-decay search share it.
+and P^n(x, y) = f_n(x), with exact edge weights and one division per
+vertex: (Pf)(z) = (sum_w b(z, w) f(w)) / b(z).  A context caches columns
+only, once per active precision and (y, restriction), extended as far as
+a call asks, so powers, partial sums and the non-decay search share them.
 Pi^n(x, y) is the maximal single-path product, which controls P^n up to an
 infinitely large factor.
 Convergence of P^n to zero is never inferred from raw finite evidence: a
@@ -46,32 +47,22 @@ class TransitionContext:
     """A graph with its measure forced to m(x) = b(x), making I - Laplacian
     row-stochastic: p(x, y) = b(x, y)/b(x).
 
-    Rows p(x, .) and columns P^n e_y are kept per active PrecisionConfig:
-    their elements are truncated under it, so a context reused under a
-    wider precision must compute them afresh."""
+    Columns P^n e_y are kept per active PrecisionConfig: their elements are
+    truncated under it, so a context reused under a wider precision must
+    compute them afresh."""
 
     def __init__(self, graph):
         self.graph = graph.with_degree_measure()
-        self._cache: dict = {}
+        self._columns: dict = {}  # PrecisionConfig -> {(y, restrict): column}
 
     @property
     def field(self):
         return self.graph.field
 
-    def _computed(self) -> tuple:
-        """(rows, columns) computed under the active precision."""
-        config = active_precision()
-        computed = self._cache.get(config)
-        if computed is None:
-            computed = self._cache[config] = ({}, {})
-        return computed
-
     def probs_from(self, x) -> dict:
-        rows = self._computed()[0]
-        if x not in rows:
-            inv_degree = self.graph.degree_weight(x).inv()
-            rows[x] = {y: w * inv_degree for y, w in self.graph.neighbors(x).items()}
-        return rows[x]
+        """The row p(x, .), formed afresh on each call."""
+        degree = self.graph.degree_weight(x)
+        return {y: w / degree for y, w in self.graph.neighbors(x).items()}
 
 
 def _apply(ctx: TransitionContext, f: dict, restrict) -> dict:
@@ -85,11 +76,11 @@ def _apply(ctx: TransitionContext, f: dict, restrict) -> dict:
     out = {}
     for z in sorted(targets):
         acc = zero
-        for w, p in ctx.probs_from(z).items():
+        for w, b in ctx.graph.neighbors(z).items():
             fw = f.get(w)
             if fw is not None:
-                acc = acc + p * fw
-        out[z] = acc
+                acc = acc + b * fw
+        out[z] = acc / ctx.graph.degree_weight(z)
     return out
 
 
@@ -107,7 +98,7 @@ def _restriction(restrict, x, y) -> Optional[frozenset]:
 def _column(ctx: TransitionContext, y, restrict: Optional[frozenset], N) -> list:
     """[P_R^n e_y for n = 0..N] as sparse vectors, R = restrict.  The column
     lives in ctx and is extended only as far as N."""
-    columns = ctx._computed()[1]
+    columns = ctx._columns.setdefault(active_precision(), {})
     column = columns.get((y, restrict))
     if column is None:
         column = columns[(y, restrict)] = [{y: ctx.field.one()}]
@@ -169,16 +160,17 @@ def pi_element(ctx: TransitionContext, x, y, n, restrict=None) -> MaxPathResult:
                     continue
                 targets.add(z)
         for z in sorted(targets):
+            # Candidates b(z, w) * Pi(w): dividing them all by b(z) > 0
+            # keeps their order, so only the winner is divided.
             best = None
-            for w, p in ctx.probs_from(z).items():
+            for w, b in ctx.graph.neighbors(z).items():
                 entry = current.get(w)
                 if entry is None:
                     continue
-                candidate = p * entry[0]
+                candidate = b * entry[0]
                 if best is None or scalars.certainly_positive(candidate - best[0]):
                     best = (candidate, (z,) + entry[1])
-            if best is not None:
-                nxt[z] = best
+            nxt[z] = (best[0] / ctx.graph.degree_weight(z), best[1])
         current = nxt
         if not current:
             break
@@ -205,9 +197,10 @@ def min_mean_cycle_valuation(ctx: TransitionContext, K):
     m = len(nodes)
     edges = []
     for u in nodes:
-        for v, p in ctx.probs_from(u).items():
+        degree = ctx.graph.degree_weight(u).valuation
+        for v, b in ctx.graph.neighbors(u).items():
             if v in index:
-                edges.append((index[u], index[v], p.valuation))
+                edges.append((index[u], index[v], b.valuation - degree))
     if not edges:
         return INF
     table = [[None] * m for _ in range(m + 1)]
@@ -445,7 +438,4 @@ def neumann_inverse_check(
 
 def row_sum(ctx: TransitionContext, x):
     """sum_y p(x, y); equals 1 within the certified precision."""
-    total = ctx.field.zero()
-    for p in ctx.probs_from(x).values():
-        total = total + p
-    return total
+    return sum(ctx.probs_from(x).values(), ctx.field.zero())

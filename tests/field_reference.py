@@ -1,10 +1,12 @@
-"""Reference kernels for LCElement multiplication and inversion.
+"""Reference kernels for LCElement multiplication, inversion and division.
 
 These are the straightforward forms the library's kernels must agree with:
 multiplication forms every pair of terms and truncates afterwards;
 inversion evaluates the geometric series in h with at most
-``geometric_series_depth`` window-truncated products.  The differential
-tests in ``test_field_kernel.py`` compare the library against them.
+``geometric_series_depth`` window-truncated products; division multiplies
+by that inverse.  The differential tests in ``test_field_kernel.py`` and
+``test_transition.py`` compare the library against them with
+``assert_refines``.
 """
 
 import math
@@ -66,3 +68,10 @@ def reference_inv(x: LCElement) -> LCElement:
 
 def reference_div(x: LCElement, y: LCElement) -> LCElement:
     return reference_mul(x, reference_inv(y))
+
+
+def assert_refines(new: LCElement, ref: LCElement):
+    """``new`` certifies at least what ``ref`` does, and the same terms."""
+    assert all(e < new.guarantee for e, _ in new.terms), new
+    assert new.guarantee >= ref.guarantee, (new, ref)
+    assert tuple(t for t in new.terms if t[0] < ref.guarantee) == ref.terms, (new, ref)

@@ -1,5 +1,5 @@
-"""Differential tests: the LCElement multiplication and inversion kernels
-against the reference forms in ``field_reference.py``.
+"""Differential tests: the LCElement multiplication, inversion and division
+kernels against the reference forms in ``field_reference.py``.
 
 Multiplication must return exactly the reference element.  Inversion and
 division may certify more than the reference: their terms must agree below
@@ -12,8 +12,9 @@ from fractions import Fraction
 
 import pytest
 
-from field_reference import reference_div, reference_inv, reference_mul
-from nacap.field import INF, LCElement, PrecisionConfig, precision
+from field_reference import assert_refines, reference_div, reference_inv, reference_mul
+from nacap.errors import IndeterminateComparisonError
+from nacap.field import _ONE, INF, LCElement, PrecisionConfig, precision
 
 WINDOWS = list(range(1, 9)) + [32]
 # Integer, half-integer and dyadic exponent lattices.
@@ -44,17 +45,6 @@ def random_element(rng):
     return LCElement(tuple(terms), guarantee)
 
 
-def terms_below(x, bound):
-    return tuple(t for t in x.terms if t[0] < bound)
-
-
-def assert_refines(new, ref):
-    """``new`` certifies at least what ``ref`` does, and the same terms."""
-    assert all(e < new.guarantee for e, _ in new.terms), new
-    assert new.guarantee >= ref.guarantee, (new, ref)
-    assert terms_below(new, ref.guarantee) == ref.terms, (new, ref)
-
-
 def check_case(rng):
     cfg = random_config(rng)
     x, y = random_element(rng), random_element(rng)
@@ -62,7 +52,12 @@ def check_case(rng):
         assert x * y == reference_mul(x, y)
         new_inv = y.inv()
         assert_refines(new_inv, reference_inv(y))
-        assert_refines(x / y, reference_div(x, y))
+        quotient = x / y
+        assert_refines(quotient, reference_div(x, y))
+        # Nothing of x is known from its guarantee on, so nothing of x/y
+        # from x.guarantee - val(y) on.
+        assert quotient.guarantee <= x.guarantee - y.valuation
+        assert new_inv == _ONE / y
     if y.is_exact:
         # y * (1/y) - 1 vanishes below val(y) + guarantee(1/y) exactly when
         # every term of 1/y below its guarantee is the true one.
@@ -134,3 +129,54 @@ def test_inverse_guarantee_never_below_reference():
         new, ref = y.inv(), reference_inv(y)
     assert ref.guarantee == new.guarantee == 9
     assert_refines(new, ref)
+
+
+class TestDivision:
+    def test_zero_like_numerator(self):
+        # 0 below e^3, divided by e*(1 + e): 0 below e^2.
+        y = lc([(1, 1), (2, 1)])
+        assert LCElement((), Fraction(3)) / y == LCElement((), Fraction(2))
+        assert LCElement.zero() / y == LCElement.zero()
+
+    def test_exact_zero_divisor(self):
+        for numerator in (LCElement.one(), LCElement.zero(), Fraction(1, 2)):
+            with pytest.raises(ZeroDivisionError):
+                numerator / LCElement.zero()
+        with pytest.raises(ZeroDivisionError):
+            LCElement.zero().inv()
+
+    def test_zero_like_divisor(self):
+        with pytest.raises(IndeterminateComparisonError):
+            LCElement.one() / LCElement((), Fraction(1))
+        with pytest.raises(IndeterminateComparisonError):
+            LCElement((), Fraction(1)).inv()
+
+    def test_divisor_with_a_finite_guarantee(self):
+        # 1/(1 + e) is known below e^3 when 1 + e is; e^2/(1 + e) below e^5.
+        y = lc([(0, 1), (1, 1)], Fraction(3))
+        assert LCElement.one() / y == lc([(0, 1), (1, -1), (2, 1)], Fraction(3))
+        x = lc([(2, 1)])
+        assert x / y == lc([(2, 1), (3, -1), (4, 1)], Fraction(5)) == reference_div(x, y)
+
+    def test_numerator_with_a_finite_guarantee(self):
+        # (1 + O(e^2))/(1 - e) = 1 + e + O(e^2).
+        x, y = lc([(0, 1)], Fraction(2)), lc([(0, 1), (1, -1)])
+        assert x / y == lc([(0, 1), (1, 1)], Fraction(2)) == reference_div(x, y)
+
+    def test_rational_numerator(self):
+        y = lc([(0, 2), (1, 1)])
+        half = Fraction(1, 2)
+        with precision(window=3):
+            expected = lc([(0, Fraction(1, 4)), (1, Fraction(-1, 8)), (2, Fraction(1, 16))], 3)
+            assert half / y == expected == reference_div(LCElement.rational(half), y)
+            assert 2 / y == LCElement.rational(2) / y
+
+    def test_numerator_past_the_window(self):
+        # (1 + e^5)/(1 - e^2) = 1 + e^2 + e^4 + 2e^5 + ...: in a window of 3
+        # the first nonzero coefficient past e^3, at e^4, is the guarantee.
+        x, y = lc([(0, 1), (5, 1)]), lc([(0, 1), (2, -1)])
+        with precision(window=3):
+            quotient, ref = x / y, reference_div(x, y)
+        assert quotient == lc([(0, 1), (2, 1)], Fraction(4))
+        assert ref.guarantee == 3
+        assert_refines(quotient, ref)

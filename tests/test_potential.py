@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from nacap.errors import HardyConstructionError, PreconditionError
+from nacap.errors import HardyConstructionError, HorizonExhaustedError, PreconditionError
 from nacap.field import LCElement
 from nacap.graphs import (
     ConstantRule,
@@ -200,6 +200,19 @@ class TestEnergyDifferenceBound:
                 gap = phi.get(x, zero) - phi.get(y, zero)
                 slack = constant * energy(g, phi) - gap * gap
                 assert not slack.terms or slack.terms[0][1] > 0
+
+    @pytest.mark.parametrize("x, y", [(0, -1), (-1, 0), (-1, -1)])
+    def test_missing_vertex_is_refused(self, x, y):
+        # On the infinite path a walk from 0 towards -1 would never end.
+        with pytest.raises(HorizonExhaustedError, match="vertex -1 outside the graph"):
+            energy_difference_bound(unit_path(), x, y)
+        with pytest.raises(HorizonExhaustedError, match="vertex -1 outside the graph"):
+            harnack_constant(unit_path(), (x, y) if x != y else (0, x))
+
+    def test_missing_vertex_of_a_finite_graph(self):
+        g = make_explicit(2, [(0, 1, ONE)])
+        with pytest.raises(HorizonExhaustedError, match="vertex 5 outside explicit graph"):
+            energy_difference_bound(g, 0, 5)
 
 
 class TestHardy:
