@@ -19,7 +19,7 @@ from .dirichlet import effective_capacity
 from .errors import PrecisionExhaustedError, PreconditionError
 from .exact import Q
 from .field import INF, active_precision, guarantee_str, scalar_json
-from .graphs import ConstantSize, Trend
+from .graphs import Trend
 
 NULL = "null"
 POSITIVE = "positive"
@@ -330,7 +330,7 @@ def _edge_lower_bound(graph, a, N):
     rule = graph.weight_rule
     if rule is not None:
         trend = rule.trend(graph.field)
-        if trend.kind == Trend.TWO_SIDED and graph.sphere_sizes == ConstantSize(1):
+        if trend.kind == Trend.TWO_SIDED and graph.is_path:
             # On a path the rule values are exactly the edge weights.
             return trend.lower, "rule"
     if graph.is_finite:

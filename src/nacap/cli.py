@@ -54,25 +54,15 @@ def _values_json(values):
     return {str(v): scalar_json(values[v]) for v in sorted(values)}
 
 
-def _min_guarantee(node):
+def _min_guarantee(node, key=None):
     """Least guarantee exponent mentioned anywhere in a report tree."""
-    best = INF
     if isinstance(node, dict):
-        for key, value in node.items():
-            if key == "guarantee" and isinstance(value, str):
-                if value != "inf":
-                    g = Fraction(value)
-                    best = g if best == INF or g < best else best
-            else:
-                g = _min_guarantee(value)
-                if g != INF and (best == INF or g < best):
-                    best = g
-    elif isinstance(node, (list, tuple)):
-        for value in node:
-            g = _min_guarantee(value)
-            if g != INF and (best == INF or g < best):
-                best = g
-    return best
+        return min((_min_guarantee(v, k) for k, v in node.items()), default=INF)
+    if isinstance(node, (list, tuple)):
+        return min(map(_min_guarantee, node), default=INF)
+    if key == "guarantee" and isinstance(node, str) and node != "inf":
+        return Fraction(node)
+    return INF
 
 
 def _render_human(node, indent=0):
@@ -366,7 +356,7 @@ def main(argv=None) -> int:
         }
         audit = _min_guarantee(outputs)
         report["precision_audit"] = {"min_guarantee": guarantee_str(audit)}
-        if args.min_guarantee is not None and audit != INF and audit < args.min_guarantee:
+        if args.min_guarantee is not None and audit < args.min_guarantee:
             print(json.dumps(report, indent=2, sort_keys=True))
             print(
                 f"precision audit {audit} below required {args.min_guarantee}",

@@ -2,11 +2,20 @@
 
 Solves the potential-normalized problem (harmonic on K minus the root,
 value 1 at the root, 0 outside K) and the charge-normalized variant
-(Laplacian equal to the root indicator on K), both by exact Gaussian
-elimination over the graph's scalar field.  The effective capacity of the
-root is the charge of the solution; by the discrete Green formula it
-coincides with the solution's energy and is independent of the vertex
-measure.
+(Laplacian equal to the root indicator on K), both by exact elimination
+over the graph's scalar field.  The effective capacity of the root is the
+charge of the solution; by the discrete Green formula it coincides with the
+solution's energy and is independent of the vertex measure.
+
+Both are systems in the Dirichlet operator A = b(x)δ_xy − b(x,y) over a set
+U of unknowns.  A is symmetric, and for u zero outside U its form
+uᵀAu = ½ Σ b(x,y)(u(x) − u(y))² is a sum of nonnegative terms in any
+ordered field, which vanishes only at u = 0 when every component of U has
+an edge leaving U (true for K minus the root, and for K with a boundary).
+So A is positive definite, and so is every Schur complement of it, since a
+pivot of elimination is the form's value at a nonzero vector.  Hence every
+diagonal pivot is positive in exact arithmetic, and symmetric elimination
+on the upper triangle needs no pivot search.
 
 Variable ordering is the breadth-first enumeration of K from the root, so
 results are bit-for-bit reproducible.
@@ -68,66 +77,64 @@ def _bfs_order(graph, K, a):
 
 
 def _solve_system(rows, rhs, zero):
-    """Exact Gaussian elimination with pivoting by certified nonzero.
+    """Exact symmetric Gaussian elimination on the upper triangle.
 
-    rows is a list of sparse dicts (column -> coefficient); the matrix is
-    positive definite in the field order, so at sufficient precision a
-    certified-nonzero pivot exists in every column."""
+    rows[i] holds the columns c >= i of row i of a Dirichlet operator.  It
+    and every Schur complement that elimination leaves are positive definite
+    (see the module docstring), so each diagonal pivot is positive and needs
+    no search.  A diagonal pivot that is not certified nonzero is zero-like
+    when the precision ran out, or an exact zero when the operator is singular."""
     m = len(rows)
-    for col in range(m):
-        pivot_row = None
-        saw_zero_like = False
-        for r in range(col, m):
-            entry = rows[r].get(col)
-            if entry is None:
-                continue
-            if entry:
-                pivot_row = r
-                break
-            saw_zero_like = saw_zero_like or scalars.is_zero_like(entry)
-        if pivot_row is None:
-            if saw_zero_like:
+    for i in range(m):
+        row = rows[i]
+        pivot = row.get(i, zero)
+        if not pivot:
+            if scalars.is_zero_like(pivot):
                 raise PrecisionExhaustedError(
-                    f"no certified pivot in column {col}; rerun with a larger window"
+                    f"pivot {i} not certified nonzero; rerun with a larger window"
                 )
             raise DisconnectedSetError("singular Dirichlet system")
-        if pivot_row != col:
-            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-            rhs[col], rhs[pivot_row] = rhs[pivot_row], rhs[col]
-        pivot = rows[col][col]
         pivot_inv = pivot.inv()
-        for r in range(col + 1, m):
-            entry = rows[r].get(col)
-            if entry is None:
-                continue
-            if not entry and not scalars.is_zero_like(entry):
-                rows[r].pop(col, None)  # exact zero, nothing to eliminate
+        for r, entry in row.items():
+            if r == i:
                 continue
             # Zero-like entries are eliminated too: the multiplication and
             # subtraction propagate their finite guarantees instead of
             # pretending the entry is an exact zero.
             factor = entry * pivot_inv
-            row_col = rows[col]
             target = rows[r]
-            for c, value in row_col.items():
-                if c == col:
-                    # Below-diagonal positions are never read again.
-                    target.pop(col, None)
+            for c, value in row.items():
+                if c < r:
                     continue
                 updated = target.get(c, zero) - factor * value
                 if updated or scalars.is_zero_like(updated):
                     target[c] = updated
                 else:
                     target.pop(c, None)
-            rhs[r] = rhs[r] - factor * rhs[col]
+            rhs[r] = rhs[r] - factor * rhs[i]
     solution = [zero] * m
-    for col in range(m - 1, -1, -1):
-        acc = rhs[col]
-        for c, value in rows[col].items():
-            if c > col:
+    for i in range(m - 1, -1, -1):
+        acc = rhs[i]
+        for c, value in rows[i].items():
+            if c > i:
                 acc = acc - value * solution[c]
-        solution[col] = acc * rows[col][col].inv()
+        solution[i] = acc * rows[i][i].inv()
     return solution
+
+
+def _solve(graph, unknowns, rhs):
+    """Solve (b(x)δ_xy − b(x,y)) u = rhs over the ordered unknowns, u being
+    zero elsewhere; rhs maps an unknown to its right-hand side."""
+    index = {v: i for i, v in enumerate(unknowns)}
+    rows = []
+    for i, x in enumerate(unknowns):
+        row = {i: graph.degree_weight(x)}
+        for y, w in graph.neighbors(x).items():
+            if index.get(y, -1) > i:
+                row[index[y]] = -w
+        rows.append(row)
+    solution = _solve_system(rows, [rhs(x) for x in unknowns], graph.field.zero())
+    return dict(zip(unknowns, solution))
 
 
 def solve_dp(graph, K, a) -> DirichletSolution:
@@ -137,46 +144,25 @@ def solve_dp(graph, K, a) -> DirichletSolution:
     The solution satisfies 0 < v <= 1 on K (verified), and its energy equals
     the effective capacity of a within K."""
     order = _bfs_order(graph, K, a)
-    zero = graph.field.zero()
     one = graph.field.one()
-    members = set(order)
-    interior = order[1:]
-    index = {v: i for i, v in enumerate(interior)}
-
-    values = {a: one}
-    if interior:
-        rows = []
-        rhs = []
-        for x in interior:
-            row = {index[x]: graph.degree_weight(x)}
-            b = zero
-            for y, w in graph.neighbors(x).items():
-                if y == a:
-                    b = b + w
-                elif y in members:
-                    row[index[y]] = -w
-            rows.append(row)
-            rhs.append(b)
-        solution = _solve_system(rows, rhs, zero)
-        for x in interior:
-            values[x] = solution[index[x]]
-        for x in interior:
-            v = values[x]
-            # 0 < v <= 1 on K: strict positivity must be certified; the upper
-            # bound is violated only by a certified positive excess (v equal
-            # to 1 within its guarantee is fine).
-            if not scalars.certainly_positive(v):
-                if scalars.is_zero_like(v):
-                    raise PrecisionExhaustedError(
-                        f"solution value at vertex {x} not certified positive"
-                    )
-                raise AssertionError(f"maximum principle violated at vertex {x}")
-            if scalars.certainly_positive(v - one):
-                raise AssertionError(f"maximum principle violated at vertex {x}")
+    values = {a: one, **_solve(graph, order[1:], lambda x: graph.weight(x, a))}
+    for x in order[1:]:
+        v = values[x]
+        # 0 < v <= 1 on K: strict positivity must be certified; the upper
+        # bound is violated only by a certified positive excess (v equal
+        # to 1 within its guarantee is fine).
+        if not scalars.certainly_positive(v):
+            if scalars.is_zero_like(v):
+                raise PrecisionExhaustedError(
+                    f"solution value at vertex {x} not certified positive"
+                )
+            raise AssertionError(f"maximum principle violated at vertex {x}")
+        if scalars.certainly_positive(v - one):
+            raise AssertionError(f"maximum principle violated at vertex {x}")
 
     capacity = graph.degree_weight(a)
     for y, w in graph.neighbors(a).items():
-        if y in members:
+        if y in values:
             capacity = capacity - values[y] * w
     return DirichletSolution(
         vertices=tuple(order),
@@ -275,16 +261,4 @@ def dirichlet_inverse_apply(graph, K, phi: Mapping) -> Mapping:
     right-hand side supported in K."""
     order = _bfs_order(graph, K, next(iter(K)))
     zero = graph.field.zero()
-    members = set(order)
-    index = {v: i for i, v in enumerate(order)}
-    rows = []
-    rhs = []
-    for x in order:
-        row = {index[x]: graph.degree_weight(x)}
-        for y, w in graph.neighbors(x).items():
-            if y in members:
-                row[index[y]] = -w
-        rows.append(row)
-        rhs.append(graph.measure(x) * phi.get(x, zero))
-    solution = _solve_system(rows, rhs, zero)
-    return {x: solution[index[x]] for x in order}
+    return _solve(graph, order, lambda x: graph.measure(x) * phi.get(x, zero))

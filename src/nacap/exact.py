@@ -1,16 +1,7 @@
-"""Exact rational scalar used for coefficients and exponents.
-
-gmpy2's mpq is a C implementation of arbitrary-precision rationals that
-interoperates with fractions.Fraction (equality, hashing, ordering, mixed
-arithmetic) and is roughly an order of magnitude faster, which matters for
-the elimination-heavy solvers.  fractions.Fraction is the fallback.
-"""
+"""Exact rational scalar used for coefficients and exponents."""
 
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover
-    Q = Fraction
+Q = Fraction
 
-RATIONAL_TYPES = (int, Fraction, type(Q(0)))
+RATIONAL_TYPES = (int, Fraction)

@@ -44,7 +44,7 @@ from .errors import (
 INF = math.inf
 
 Exponent = Fraction
-Coefficient = Fraction  # documented type; internally gmpy2 mpq when available
+Coefficient = Fraction
 Guarantee = Union[Fraction, float]  # a Fraction, or math.inf for "exact"
 
 

@@ -374,12 +374,11 @@ class _LayeredStructure:
     whose spheres all have one vertex.  A weight rule with a finite
     edge_count ends the graph at sphere edge_count."""
 
-    def __init__(self, profile: SphericalProfile, field, kind: str):
+    def __init__(self, profile: SphericalProfile, field):
         if profile.sphere_sizes.value(0) != 1:
             raise IncompatibleProfileError("sphere 0 must contain exactly the root")
         self.profile = profile
         self.field = field
-        self.kind = kind
         self.last_level = rule_edge_count(profile.b_plus)  # None: no last sphere
         self._starts = [0, 1]  # vertex index where each level starts
         self._level_weights: dict = {}
@@ -445,7 +444,6 @@ class _LayeredStructure:
 
 
 class _ExplicitStructure:
-    kind = "explicit"
     profile = None
 
     def __init__(self, n: int, edges, field):
@@ -494,10 +492,6 @@ class WeightedGraph:
         self._degree: dict = {}
 
     # -- basic access ------------------------------------------------------
-
-    @property
-    def kind(self) -> str:
-        return self._structure.kind
 
     @property
     def vertex_count(self) -> Optional[int]:
@@ -589,6 +583,11 @@ class WeightedGraph:
         profile = self._structure.profile
         return None if profile is None else profile.sphere_sizes
 
+    @property
+    def is_path(self) -> bool:
+        """A layered graph whose spheres all have one vertex."""
+        return self.sphere_sizes == ConstantSize(1)
+
     # -- derived graphs ---------------------------------------------------------
 
     def with_degree_measure(self) -> "WeightedGraph":
@@ -600,11 +599,11 @@ class WeightedGraph:
         its arithmetic is exact rational arithmetic."""
         if self.field is not RFElement:
             raise SpecFileError("evaluated_at applies to rational-function graphs")
-        if self.kind != "path":
+        if not self.is_path:
             raise SpecFileError("real evaluation is implemented for path graphs")
         profile = self._structure.profile
         profile = replace(profile, b_plus=_EvaluatedRule(profile.b_plus, r0))
-        structure = _LayeredStructure(profile, LCElement, self.kind)
+        structure = _LayeredStructure(profile, LCElement)
         return WeightedGraph(structure, LCElement, ConstantMeasure(), self.label)
 
 
@@ -623,12 +622,12 @@ def make_path(weight_rule, measure=None, field=LCElement, label="") -> WeightedG
     """Path graph on {0, 1, 2, ...} with b(k, k+1) given by the rule and
     measure 1 unless stated otherwise: the profile with unit spheres."""
     profile = SphericalProfile(_as_rule(weight_rule))
-    return WeightedGraph(_LayeredStructure(profile, field, "path"), field, measure, label)
+    return WeightedGraph(_LayeredStructure(profile, field), field, measure, label)
 
 
 def make_spherical(profile: SphericalProfile, measure=None, field=LCElement, label="") -> WeightedGraph:
     """Layered graph realizing a weakly spherically symmetric profile."""
-    return WeightedGraph(_LayeredStructure(profile, field, "spherical"), field, measure, label)
+    return WeightedGraph(_LayeredStructure(profile, field), field, measure, label)
 
 
 def make_explicit(n: int, edges, measure=None, field=LCElement, label="") -> WeightedGraph:

@@ -23,7 +23,6 @@ from .errors import (
 )
 from .exact import Q
 from .field import scalar_json
-from .graphs import ConstantSize
 
 __all__ = [
     "is_superharmonic",
@@ -317,7 +316,7 @@ def hardy_construct(
         verdict.certificate, SphericalFormulaCertificate
     ):
         edge_bound = verdict.certificate.lower
-        if edge_bound is not None and graph.sphere_sizes == ConstantSize(1):
+        if edge_bound is not None and graph.is_path:
             # On a path every edge weight is at least the bound; by
             # the energy-difference bound along the radial path,
             # cap_n(x) >= bound/(2n) >= (bound/2) * eps for every n.

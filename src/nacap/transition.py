@@ -284,7 +284,7 @@ def full_decay_certificate(ctx: TransitionContext) -> Optional[DecayCertificate]
     probabilities decay without bound."""
     graph = ctx.graph
     rule = graph.weight_rule
-    if graph.kind != "path" or rule is None:
+    if not graph.is_path or rule is None:
         return None
     if isinstance(rule, MonomialRule) and rule.slope < 0:
         slope = -rule.slope

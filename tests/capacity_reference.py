@@ -11,7 +11,7 @@ from nacap.errors import PreconditionError
 
 def path_series_capacity(graph, a, n):
     """cap_n(0) on a path graph by the series law."""
-    if graph.kind != "path" or a != 0:
+    if not graph.is_path or a != 0:
         raise PreconditionError("series law oracle applies to path graphs rooted at 0")
     total = graph.field.zero()
     for k in range(n):

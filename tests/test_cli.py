@@ -5,6 +5,7 @@ import json
 import pytest
 
 from nacap.cli import main
+from nacap.specfile import load_spec
 
 
 def run(capsys, *argv):
@@ -146,6 +147,24 @@ class TestCommands:
         report = run_json(capsys, "capacity", "--spec", str(spec), "--horizon", str(horizon))
         values = [node["value"] for node in report["outputs"]["values"]]
         assert values[3:] == ([] if horizon == 3 else ["0"])
+
+
+    @pytest.mark.parametrize(
+        "spec, command",
+        [
+            ({"weights": {"rule": "eps_pow_neg_k"}}, "transition --x 0 --y 0 --n 2 --series 4"),
+            (load_spec("ex8"), "real-sweep --power 3 --r 1/2,1/4 --horizon 6"),
+        ],
+        ids=["transition", "real-sweep"],
+    )
+    def test_spherical_spec_with_unit_spheres_is_a_path(self, capsys, tmp_path, spec, command):
+        name, *options = command.split()
+        outputs = []
+        for kind in ("path", "spherical"):
+            path = tmp_path / f"{kind}.json"
+            path.write_text(json.dumps({**spec, "kind": kind}))
+            outputs.append(run_json(capsys, name, "--spec", str(path), *options)["outputs"])
+        assert outputs[0] == outputs[1]
 
 
 # Every fixture under every subcommand, at small horizons: each run ends with

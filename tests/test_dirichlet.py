@@ -1,9 +1,16 @@
 """Dirichlet problems, effective capacity, energy, Green columns."""
 
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from nacap.errors import (
+    DisconnectedSetError,
+    NacapError,
+    PrecisionExhaustedError,
+)
 from nacap.field import LCElement, precision
 from nacap.graphs import (
     ConstantRule,
@@ -15,7 +22,9 @@ from nacap.graphs import (
     make_path,
     make_spherical,
 )
+from nacap.specfile import build_graph, load_spec
 from nacap.dirichlet import (
+    _solve_system,
     dirichlet_inverse_apply,
     effective_capacity,
     energy,
@@ -25,6 +34,13 @@ from nacap.dirichlet import (
     solve_dp,
     solve_renormalized,
 )
+
+from dirichlet_reference import (
+    reference_green_column,
+    reference_inverse_apply,
+    reference_solve_dp,
+)
+from prop_suites import BASE_CONFIG, random_graph, random_support_function
 
 ONE = LCElement.one()
 EPS = LCElement.eps()
@@ -220,3 +236,89 @@ class TestPrecisionSurface:
             cap = effective_capacity(g, g.ball(0, 4), 0)
         assert cap.guarantee >= 6  # relative window keeps at least W above valuation
         assert cap.valuation == 3
+
+
+class TestSolveSystem:
+    # [[1, -1], [-1, c]]: the second pivot is the Schur complement c - 1.
+    @pytest.mark.parametrize(
+        "c, error",
+        [
+            (ONE, DisconnectedSetError),
+            (ONE + LCElement((), Fraction(3)), PrecisionExhaustedError),
+        ],
+        ids=["exact-zero", "zero-like"],
+    )
+    def test_uncertified_diagonal_pivot_is_refused(self, c, error):
+        rows = [{0: ONE, 1: -ONE}, {1: c}]
+        with pytest.raises(error):
+            _solve_system(rows, [ONE, ONE], LCElement.zero())
+
+    def test_zero_like_entry_is_eliminated(self):
+        # [[1, z], [z, 1]] with z zero-like: both unknowns are 1, and only
+        # within z's guarantee.
+        z = LCElement((), Fraction(3))
+        rows = [{0: ONE, 1: z}, {1: ONE}]
+        solution = _solve_system(rows, [ONE, ONE], LCElement.zero())
+        assert solution == [LCElement(((0, 1),), Fraction(3))] * 2
+
+
+def outcome(compute):
+    """What a solver returns, or the class of the refusal it raises."""
+    try:
+        return compute()
+    except NacapError as err:
+        return type(err)
+
+
+def potential(graph, K, a):
+    solution = solve_dp(graph, K, a)
+    return solution.values, solution.capacity
+
+
+def seeded_cases(seed, graphs):
+    """(graph, K, root, phi): every distinct ball around a drawn root of
+    seeded explicit graphs, with a drawn right-hand side on it."""
+    rng = random.Random(seed)
+    for _ in range(graphs):
+        graph = random_graph(rng)
+        a = rng.randrange(graph.vertex_count)
+        for radius in range(1, graph.vertex_count + 1):
+            K = graph.ball(a, radius)
+            yield graph, K, a, random_support_function(rng, K)
+            if len(K) == graph.vertex_count:
+                break
+
+
+class TestAgainstReference:
+    """Symmetric elimination reproduces the general elimination with a pivot
+    search that it replaced: the same terms, the same guarantees and the
+    same refusals."""
+
+    @pytest.mark.parametrize(
+        "config", [BASE_CONFIG, replace(BASE_CONFIG, window=16)], ids=["window-8", "window-16"]
+    )
+    def test_seeded_explicit_graphs(self, config):
+        solved = 0
+        with precision(config):
+            for graph, K, a, phi in seeded_cases(20261018, 8):
+                for compute, reference in (
+                    (potential, reference_solve_dp),
+                    (green_matrix, reference_green_column),
+                ):
+                    result = outcome(lambda: compute(graph, K, a))
+                    assert result == outcome(lambda: reference(graph, K, a))
+                    solved += not isinstance(result, type)
+                result = outcome(lambda: dirichlet_inverse_apply(graph, K, phi))
+                assert result == outcome(lambda: reference_inverse_apply(graph, K, phi))
+                solved += not isinstance(result, type)
+        # Most calls solve; the others compare refusals, as on a ball
+        # that is the whole graph.
+        assert solved > 40
+
+    @pytest.mark.parametrize("name", [f"ex{i}" for i in range(1, 10)])
+    def test_fixtures(self, name):
+        graph, config = build_graph(load_spec(name))
+        with precision(config):
+            for horizon in range(2, 6):
+                K = graph.ball(0, horizon)
+                assert potential(graph, K, 0) == reference_solve_dp(graph, K, 0)
