@@ -62,9 +62,6 @@ class DirichletSolution:
     energy: object
     capacity: object
 
-    def value(self, graph, x):
-        return self.values.get(x, graph.field.zero())
-
 
 def _bfs_order(graph, K, a):
     members = set(K)

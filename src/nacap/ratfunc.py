@@ -1,23 +1,30 @@
 """The ordered field of rational functions Q(r).
 
-Elements are quotients of polynomials with rational coefficients, written
-with powers of r increasing.  The order is determined by behaviour near
-r = 0+: writing g = (a1 r^{n1} + ...)/(b1 r^{m1} + ...) with increasing
-powers and a1, b1 nonzero, g > 0 iff a1/b1 > 0.  This matches the embedding
-into the Levi-Civita field with e := r.
+Elements are quotients of polynomials, written with powers of r
+increasing.  The order is determined by behaviour near r = 0+: writing
+g = (a1 r^{n1} + ...)/(b1 r^{m1} + ...) with increasing powers and a1, b1
+nonzero, g > 0 iff a1/b1 > 0.  This matches the embedding into the
+Levi-Civita field with e := r.
 
-Normal form: numerator and denominator share no polynomial factor and the
-denominator's lowest-order nonzero coefficient is 1 (hence positive), which
-makes structural equality canonical.
+Normal form: numerator and denominator are integer polynomials that share
+no factor in Q[r], the gcd of all their coefficients together is 1, and
+the denominator's lowest-order nonzero coefficient is positive; zero is
+((), (1,)).  The form is canonical, so structural equality is value
+equality, and the sign is the sign of the numerator's lowest coefficient.
+An element prints divided through by the denominator's lowest
+coefficient, as the quotient whose denominator starts with 1.
 
-The normal form is kept without ever taking the gcd of a full cross product.
-``pgcd`` removes the common power of r, clears denominators and contents,
-and runs the primitive pseudo-remainder sequence on integer coefficients
-(W. S. Brown, JACM 1971), so no rational coefficient swells.  Sums and
-products of elements already in normal form take gcds of their smaller
-factors only (P. Henrici, JACM 1956): a product cancels num(a) against
-den(b) and num(b) against den(a); a sum cancels only against the gcd of the
-two denominators.  Inversion swaps the two sides.
+The arithmetic stays in Z[r]; rationals appear only where an element is
+made (``make`` clears denominators), evaluated, embedded or printed.
+``pgcd`` removes the common power of r and runs the primitive
+pseudo-remainder sequence (W. S. Brown, JACM 1971), so no coefficient
+swells, and a primitive factor divides an integer polynomial exactly over
+the integers (Gauss's lemma).  Sums and products of elements in normal
+form take gcds of their smaller factors only (P. Henrici, JACM 1956): a
+product cancels num(a) against den(b) and num(b) against den(a); a sum
+cancels only against the gcd of the two denominators.  Each result is then
+divided once by its joint content.  Inversion swaps the two sides and
+fixes the sign.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from .errors import PoleError, SpecFileError
 from .exact import Q, RATIONAL_TYPES
 from .field import INF, OrderedFieldElement, parse_element
 
-Poly = Tuple[Fraction, ...]  # coefficient at index k multiplies r**k
+Poly = Tuple[int, ...]  # coefficient at index k multiplies r**k
 
 
 def _strip(coeffs) -> Poly:
@@ -41,59 +48,45 @@ def _strip(coeffs) -> Poly:
     return tuple(coeffs)
 
 
-def poly(coeffs) -> Poly:
-    return _strip(Q(c) for c in coeffs)
-
-
 def padd(a: Poly, b: Poly) -> Poly:
-    n = max(len(a), len(b))
-    zero = Q(0)
-    return _strip(
-        (a[i] if i < len(a) else zero) + (b[i] if i < len(b) else zero)
-        for i in range(n)
-    )
-
-
-def pneg(a: Poly) -> Poly:
-    return tuple(-c for c in a)
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return _strip(out)
 
 
 def pmul(a: Poly, b: Poly) -> Poly:
     if not a or not b:
         return ()
-    out = [Q(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return _strip(out)
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return tuple(out)  # the leading coefficient is the product of two nonzero ones
 
 
-def pdivmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    quotient = [Q(0)] * max(0, len(a) - len(b) + 1)
+def _exquo(a: Poly, g: Poly) -> Poly:
+    """a / g for a primitive divisor g of a, whose quotient is integral
+    by Gauss's lemma; g = (1,) is the only constant divisor."""
+    n = len(g)
+    if n == 1:
+        return a
     rest = list(a)
-    while len(rest) >= len(b) and any(rest):
-        if rest[-1] == 0:
-            rest.pop()
-            continue
-        shift = len(rest) - len(b)
-        factor = rest[-1] / b[-1]
-        quotient[shift] = factor
-        for i, cb in enumerate(b):
-            rest[shift + i] -= factor * cb
-        rest.pop()
-    return _strip(quotient), _strip(rest)
+    lead = g[-1]
+    quotient = [0] * (len(a) - n + 1)
+    for shift in reversed(range(len(quotient))):
+        factor = rest[shift + n - 1] // lead
+        if factor:
+            quotient[shift] = factor
+            for i in range(n - 1):
+                rest[shift + i] -= factor * g[i]
+    return tuple(quotient)
 
 
-def _integral(a: Poly) -> list:
-    """The primitive integer polynomial with positive leading coefficient
-    that is a rational multiple of the nonzero polynomial a."""
-    common = lcm(*(c.denominator for c in a))
-    return _primitive([c.numerator * (common // c.denominator) for c in a])
-
-
-def _primitive(coeffs: list) -> list:
+def _primitive(coeffs) -> list:
     """Integer coefficients divided by their content, signed so that the
     leading one is positive."""
     content = gcd(*coeffs)
@@ -125,19 +118,20 @@ def _pseudo_remainder(a: list, b: list) -> list:
 
 
 def pgcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over Q[r]; () only when both are zero."""
+    """The gcd in Z[r], primitive with a positive leading coefficient; ()
+    only when both are zero."""
     if not a or not b:
         g = a or b
-        return tuple(c / g[-1] for c in g)
+        return tuple(_primitive(g)) if g else ()
     i, j = _lowest(a)[0], _lowest(b)[0]
-    shift = (Q(0),) * min(i, j)
-    x, y = sorted((_integral(a[i:]), _integral(b[j:])), key=len, reverse=True)
+    shift = (0,) * min(i, j)
+    x, y = sorted((_primitive(a[i:]), _primitive(b[j:])), key=len, reverse=True)
     while len(y) > 1:
         x, y = y, _pseudo_remainder(x, y)
         if not y:
-            return shift + tuple(Q(c, x[-1]) for c in x)
+            return shift + tuple(x)
         y = _primitive(y)
-    return shift + (Q(1),)
+    return shift + (1,)
 
 
 def peval(a: Poly, r0) -> Fraction:
@@ -147,25 +141,25 @@ def peval(a: Poly, r0) -> Fraction:
     return acc
 
 
-def _lowest(a: Poly) -> tuple[int, Fraction]:
+def _lowest(a: Poly) -> tuple[int, int]:
     for k, c in enumerate(a):
         if c != 0:
             return k, c
     raise ValueError("zero polynomial has no lowest term")
 
 
-def _exquo(a: Poly, g: Poly) -> Poly:
-    """a / g for a monic divisor g of a."""
-    return a if len(g) == 1 else pdivmod(a, g)[0]
-
-
-def _scaled(num: Poly, den: Poly) -> "RFElement":
-    """The element num/den for coprime num and den, with den's lowest
-    nonzero coefficient scaled to 1."""
-    _, low = _lowest(den)
-    if low != 1:
-        num = tuple(c / low for c in num)
-        den = tuple(c / low for c in den)
+def _normal(num: Poly, den: Poly) -> "RFElement":
+    """The element num/den for integer num and den coprime in Q[r]: both
+    divided by their joint content, signed so that den's lowest nonzero
+    coefficient is positive."""
+    if not num:
+        return _ZERO
+    content = gcd(*num, *den)
+    if _lowest(den)[1] < 0:
+        content = -content
+    if content != 1:
+        num = tuple(c // content for c in num)
+        den = tuple(c // content for c in den)
     return RFElement(num, den)
 
 
@@ -179,14 +173,18 @@ class RFElement(OrderedFieldElement):
 
     @staticmethod
     def make(num, den=(1,)) -> "RFElement":
-        num = poly(num)
-        den = poly(den)
+        """num/den from sequences of rational coefficients."""
+        num = [Q(c) for c in num]
+        den = [Q(c) for c in den]
+        scale = lcm(*(c.denominator for c in num + den))
+        num = _strip(c.numerator * (scale // c.denominator) for c in num)
+        den = _strip(c.numerator * (scale // c.denominator) for c in den)
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
         if not num:
             return _ZERO
         g = pgcd(num, den)
-        return _scaled(_exquo(num, g), _exquo(den, g))
+        return _normal(_exquo(num, g), _exquo(den, g))
 
     @staticmethod
     def zero() -> "RFElement":
@@ -229,14 +227,11 @@ class RFElement(OrderedFieldElement):
     # -- queries -------------------------------------------------------------
 
     def sign(self) -> int:
-        """Sign near r = 0+: the sign of the ratio of the lowest-order
-        nonzero coefficients of numerator and denominator."""
+        """Sign near r = 0+: the sign of the numerator's lowest-order
+        nonzero coefficient, the denominator's being positive."""
         if not self.num:
             return 0
-        _, a1 = _lowest(self.num)
-        _, b1 = _lowest(self.den)
-        ratio = a1 / b1
-        return 1 if ratio > 0 else -1
+        return 1 if _lowest(self.num)[1] > 0 else -1
 
     @property
     def valuation(self):
@@ -275,15 +270,14 @@ class RFElement(OrderedFieldElement):
         own = _exquo(self.den, d)
         total = padd(pmul(self.num, _exquo(other.den, d)), pmul(other.num, own))
         # The sum shares no factor with own or with other.den / d, so only
-        # a factor of d can cancel.  A zero sum needs equal denominators, so
-        # both cofactors are constants and the result is the canonical zero.
+        # a factor of d can cancel.  A zero sum is the canonical zero.
         e = pgcd(total, d) if len(d) > 1 else d
-        return _scaled(_exquo(total, e), pmul(own, _exquo(other.den, e)))
+        return _normal(_exquo(total, e), pmul(own, _exquo(other.den, e)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RFElement(pneg(self.num), self.den)
+        return RFElement(tuple(-c for c in self.num), self.den)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -295,7 +289,7 @@ class RFElement(OrderedFieldElement):
         # num(b) against den(a) can cancel.
         g1 = pgcd(self.num, other.den)
         g2 = pgcd(other.num, self.den)
-        return _scaled(
+        return _normal(
             pmul(_exquo(self.num, g1), _exquo(other.num, g2)),
             pmul(_exquo(self.den, g2), _exquo(other.den, g1)),
         )
@@ -305,7 +299,9 @@ class RFElement(OrderedFieldElement):
     def inv(self) -> "RFElement":
         if not self.num:
             raise ZeroDivisionError("inverse of zero rational function")
-        return _scaled(self.den, self.num)
+        if _lowest(self.num)[1] < 0:
+            return RFElement(tuple(-c for c in self.den), tuple(-c for c in self.num))
+        return RFElement(self.den, self.num)
 
     # -- order ----------------------------------------------------------------
 
@@ -346,6 +342,9 @@ class RFElement(OrderedFieldElement):
         return num * den.inv()
 
     def __str__(self) -> str:
+        """The quotient with the denominator's lowest coefficient 1."""
+        _, low = _lowest(self.den)
+
         def side(p: Poly) -> str:
             if not p:
                 return "0"
@@ -353,6 +352,7 @@ class RFElement(OrderedFieldElement):
             for k, c in enumerate(p):
                 if c == 0:
                     continue
+                c = Q(c, low)
                 if k == 0:
                     parts.append(str(c))
                 elif k == 1:
@@ -361,7 +361,7 @@ class RFElement(OrderedFieldElement):
                     parts.append(f"{c}*r^{k}")
             return " + ".join(parts).replace("+ -", "- ")
 
-        if self.den == (Fraction(1),):
+        if len(self.den) == 1:
             return side(self.num)
         return f"({side(self.num)})/({side(self.den)})"
 
@@ -369,5 +369,5 @@ class RFElement(OrderedFieldElement):
         return f"RFElement({self})"
 
 
-_ZERO = RFElement((), (Q(1),))
-_ONE = RFElement((Q(1),), (Q(1),))
+_ZERO = RFElement((), (1,))
+_ONE = RFElement((1,), (1,))

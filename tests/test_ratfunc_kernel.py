@@ -1,15 +1,20 @@
-"""Differential tests: the Q(r) kernel (primitive-remainder gcd, Henrici
-sums and products, inversion by swapping) against the reference forms in
-``ratfunc_reference.py``.  The normal form is canonical, so every result
-must be the identical element with the identical string.
+"""Differential tests: the Q(r) kernel (integer primitive-remainder gcd,
+Henrici sums and products, inversion by swapping) against the reference
+forms in ``ratfunc_reference.py``.  The normal form is canonical, so every
+result must be the identical element with the identical string, and every
+result must satisfy the normal form's invariants.
 """
 
+import functools
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
 from ratfunc_reference import (
+    pmul,
+    poly,
     reference_add,
     reference_inv,
     reference_make,
@@ -17,7 +22,7 @@ from ratfunc_reference import (
     reference_pgcd,
     reference_sub,
 )
-from nacap.ratfunc import RFElement, pgcd, pmul, poly
+from nacap.ratfunc import RFElement, pgcd
 
 
 def random_poly(rng, nonzero=True, degree=8):
@@ -64,15 +69,34 @@ def random_pair(rng):
     return reference_make(nx, dx), reference_make(ny, dy), (nx, dx, ny, dy)
 
 
-def check_case(rng):
+def integral(p):
+    """The rational polynomial p times the lcm of its denominators."""
+    scale = lcm(*(c.denominator for c in p))
+    return tuple(int(c * scale) for c in p)
+
+
+def check_gcd(a, b):
+    """The integer gcd is the reference's monic gcd times its own leading
+    coefficient, and is primitive with that coefficient positive."""
+    a, b = poly(a), poly(b)
+    got, want = pgcd(integral(a), integral(b)), reference_pgcd(a, b)
+    if not want:
+        assert got == ()
+        return
+    assert all(type(c) is int for c in got)
+    assert gcd(*got) == 1 and got[-1] > 0
+    assert got == tuple(c * got[-1] for c in want), (a, b)
+
+
+def kernel_cases(rng):
+    """Pairs (library result, reference result) for one random pair."""
     x, y, (nx, dx, ny, dy) = random_pair(rng)
-    assert RFElement.make(nx, dx) == x
-    assert RFElement.make(ny, dy) == y
     for a, b in ((nx, dx), (dx, dy), (nx, dy)):
-        a, b = poly(a), poly(b)
-        assert pgcd(a, b) == reference_pgcd(a, b), (a, b)
+        check_gcd(a, b)
     total, product = reference_add(x, y), reference_mul(x, y)
     cases = [
+        (RFElement.make(nx, dx), x),
+        (RFElement.make(ny, dy), y),
         (x + y, total),
         (y + x, total),
         (x - y, reference_sub(x, y)),
@@ -84,20 +108,65 @@ def check_case(rng):
         cases += [(y.inv(), inverse), (x / y, reference_mul(x, inverse))]
     if x:
         cases += [(x.inv(), reference_inv(x))]
-    for got, want in cases:
-        assert got == want, (x, y, got, want)
-        assert str(got) == str(want)
+    return cases
+
+
+def assert_normal(x):
+    """Integer sides, coprime in Q[r], joint content 1 and a positive
+    lowest denominator coefficient; zero is ((), (1,))."""
+    if not x.num:
+        assert (x.num, x.den) == ((), (1,))
+        return
+    assert all(type(c) is int for c in x.num + x.den)
+    assert x.num[-1] != 0 and x.den[-1] != 0
+    assert reference_pgcd(x.num, x.den) == (1,)
+    assert gcd(*x.num, *x.den) == 1
+    assert next(c for c in x.den if c != 0) > 0
+
+
+@functools.cache
+def seeded_cases(seed):
+    rng = random.Random(seed)
+    return [case for _ in range(250) for case in kernel_cases(rng)]
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_kernel_matches_reference(seed):
-    rng = random.Random(seed)
-    for _ in range(250):
-        check_case(rng)
+    for got, want in seeded_cases(seed):
+        assert got == want, (got, want)
+        assert str(got) == str(want)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_results_are_in_normal_form(seed):
+    """The seeded cases of test_kernel_matches_reference, checked for the
+    invariants directly: the reference goes through the same class, so a
+    normal form that is canonical but wrong could pass the comparison."""
+    for got, _ in seeded_cases(seed):
+        assert_normal(got)
 
 
 def rf(num, den=(1,)):
     return RFElement.make(num, den)
+
+
+def test_arithmetic_between_elements_makes_no_fraction(monkeypatch):
+    """Sums, products, quotients, inverses, signs and comparisons of
+    elements stay in Z[r]: not one Fraction is constructed."""
+    x = rf((Fraction(1, 2), 3, Fraction(-2, 7)), (5, 0, Fraction(4, 3)))
+    y = rf((0, -6, 1), (Fraction(3, 2), 1))
+    made = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    results = [x + y, x - y, x * y, x / y, y.inv(), -x, (x * y).sign(), x.compare(y), x ** 3]
+    monkeypatch.undo()
+    assert made == []
+    assert results[4] == reference_inv(y) and results[2] == reference_mul(x, y)
 
 
 class TestHenriciBranches:
@@ -136,7 +205,9 @@ class TestHenriciBranches:
     def test_inverse_rescales_the_new_denominator(self):
         x = rf((0, -2, 4), (1, 1))
         assert x.inv() == rf((1, 1), (0, -2, 4)) == reference_inv(x)
-        assert x.inv().den[1] == 1
+        assert x.inv() == rf((Fraction(-1, 2), Fraction(-1, 2)), (0, 1, -2))
+        assert (x.inv().num, x.inv().den) == ((-1, -1), (0, 2, -4))
+        assert x.inv().den[1] > 0
 
     def test_zero_has_no_inverse(self):
         with pytest.raises(ZeroDivisionError):
@@ -145,15 +216,47 @@ class TestHenriciBranches:
 
 class TestGcd:
     def test_monic_with_the_common_power_of_r(self):
-        # gcd(2r^2(1+r), 4r^3(1+r)(2-r)) = r^2 (1+r).
+        # gcd(2r^2(1+r), 4r^3(1+r)(2-r)) = r^2 (1+r), primitive and monic.
         a = pmul((0, 0, 2), (1, 1))
         b = pmul(pmul((0, 0, 0, 4), (1, 1)), (2, -1))
-        assert pgcd(a, b) == (0, 0, 1, 1) == reference_pgcd(a, b)
+        assert pgcd(integral(a), integral(b)) == (0, 0, 1, 1) == reference_pgcd(a, b)
+
+    def test_leading_coefficient_kept(self):
+        # gcd(6(3+2r)(1+r), 4(3+2r)(1-r)) = 3 + 2r, the monic 3/2 + r scaled.
+        a = pmul((18, 12), (1, 1))
+        b = pmul((12, 8), (1, -1))
+        assert pgcd(integral(a), integral(b)) == (3, 2)
+        assert reference_pgcd(a, b) == (Fraction(3, 2), 1)
 
     def test_zero_arguments(self):
         assert pgcd((), ()) == ()
-        assert pgcd((), (Fraction(2), Fraction(4))) == (Fraction(1, 2), 1)
-        assert pgcd((Fraction(3),), ()) == (1,)
+        assert pgcd((), (2, 4)) == (1, 2)
+        assert pgcd((), (2, -4)) == (-1, 2)
+        assert pgcd((3,), ()) == (1,)
 
     def test_coprime(self):
         assert pgcd((1, 1), (1, -1)) == (1,)
+
+
+class TestPrintedForm:
+    """str() divides by the denominator's lowest coefficient.  The strings
+    are those the Fraction-coefficient normal form printed, whose
+    denominator's lowest coefficient was 1."""
+
+    @pytest.mark.parametrize(
+        "element, text",
+        [
+            (rf((Fraction(1, 2), Fraction(-2, 3)), (3, 1)), "(1/6 - 2/9*r)/(1 + 1/3*r)"),
+            (rf((1, 1), (-2, 0, 1)), "(-1/2 - 1/2*r)/(1 - 1/2*r^2)"),
+            (rf((0, 1), (2,)), "1/2*r"),
+            (rf((1,), (0, 0, 3)), "(1/3)/(1*r^2)"),
+            (RFElement.rational(0), "0"),
+            (RFElement.rational(Fraction(-5, 7)), "-5/7"),
+            (rf((1, 2), (1, 0, 3)) + rf((0, 5), (2,)), "(1 + 9/2*r + 15/2*r^3)/(1 + 3*r^2)"),
+            (rf((0, -3, 0, 4), (Fraction(5, 2), -1)), "(-6/5*r + 8/5*r^3)/(1 - 2/5*r)"),
+            (RFElement.monomial(Fraction(2, 3), -1), "(2/3)/(1*r)"),
+            (rf((6, 4), (0, -4, 8)).inv(), "(-2/3*r + 4/3*r^2)/(1 + 2/3*r)"),
+        ],
+    )
+    def test_printed_form(self, element, text):
+        assert str(element) == text
