@@ -5,7 +5,7 @@ with, on polynomials with rational coefficients and with nothing taken from
 the library but the element class: the gcd is Euclid's algorithm over Q[r]
 made monic, and every sum, product and inverse forms the full cross
 quotient and normalises it from scratch with that gcd.  The normalised
-quotient has denominator's lowest coefficient 1; it is then rescaled to the
+quotient, with its denominator's lowest coefficient 1, is then rescaled to the
 library's integer normal form.  The differential tests in
 ``test_ratfunc_kernel.py`` compare the library against them.
 """
