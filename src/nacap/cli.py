@@ -91,14 +91,23 @@ def _render_human(node, indent=0):
     return lines
 
 
-def _natural(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
-    return value
+def _int_at_least(least, word):
+    """An argparse type for an int that is at least `least`."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be {word}, got {value}")
+        return value
+
+    return parse
+
+
+_natural = _int_at_least(0, "nonnegative")
+_positive = _int_at_least(1, "positive")
 
 
 def _int_list(text):
@@ -277,24 +286,24 @@ def _build_parser():
 
     p = sub.add_parser("solve-dp", parents=[common], help="Dirichlet problem on a ball")
     p.add_argument("--root", type=int, default=0)
-    p.add_argument("--horizon", type=int, required=True, help="ball radius")
+    p.add_argument("--horizon", type=_positive, required=True, help="ball radius")
     p.add_argument("--renormalized", action="store_true", help="charge normalization")
 
     p = sub.add_parser("capacity", parents=[common], help="capacity sequence and verdict")
     p.add_argument("--root", type=int, default=0)
-    p.add_argument("--horizon", type=int, required=True)
+    p.add_argument("--horizon", type=_positive, required=True)
 
     p = sub.add_parser("classify", parents=[common], help="capacity type from the weight profile")
-    p.add_argument("--horizon", type=int, default=16)
+    p.add_argument("--horizon", type=_positive, default=16)
 
     p = sub.add_parser("nash-williams", parents=[common], help="null-capacity subsequence search")
     p.add_argument("--root", type=int, default=0)
-    p.add_argument("--horizon", type=int, required=True)
+    p.add_argument("--horizon", type=_positive, required=True)
 
     p = sub.add_parser("green", parents=[common], help="inverse Dirichlet Laplacian column")
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--y", type=int, required=True)
-    p.add_argument("--horizon", type=int, required=True, help="ball radius around y")
+    p.add_argument("--horizon", type=_positive, required=True, help="ball radius around y")
 
     p = sub.add_parser("transition", parents=[common], help="transition operator powers")
     p.add_argument("--x", type=int, required=True)
@@ -309,7 +318,7 @@ def _build_parser():
 
     p = sub.add_parser("superharmonic", parents=[common], help="verify or construct")
     p.add_argument("--root", type=int, default=0)
-    p.add_argument("--horizon", type=int, default=6)
+    p.add_argument("--horizon", type=_positive, default=6)
     p.add_argument("--construct", action="store_true")
     p.add_argument("--c", default="1", help="ratio bound (field literal)")
     p.add_argument("--tau", default="1*e^(1)", help="infinitesimal (field literal)")
@@ -317,14 +326,14 @@ def _build_parser():
 
     p = sub.add_parser("hardy", parents=[common], help="construct and verify a Hardy weight")
     p.add_argument("--root", type=int, default=0)
-    p.add_argument("--horizon", type=int, default=12)
-    p.add_argument("--samples", type=int, default=8)
+    p.add_argument("--horizon", type=_positive, default=12)
+    p.add_argument("--samples", type=_positive, default=8)
 
     p = sub.add_parser("real-sweep", parents=[common], help="real capacities of a rational-function graph")
     p.add_argument("--root", type=int, default=0)
     p.add_argument("--power", type=int, default=0, help="report r^(-power) * capacity")
     p.add_argument("--r", required=True, help="comma-separated rational parameters")
-    p.add_argument("--horizon", type=int, required=True)
+    p.add_argument("--horizon", type=_positive, required=True)
 
     return parser
 

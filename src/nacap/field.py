@@ -14,6 +14,10 @@ count; any truncation lowers the guarantee instead of silently pretending
 exactness.  Division x/y, with y = a*e^q*(1+h), computes x/(1+h) one
 coefficient at a time (long division; 1/y is the inverse) and is exact
 below val(x) + geometric_series_depth * val(h) and within the window.
+Short operands take paths of their own with the same results: a one-term
+factor shifts and scales the other factor, an exact-zero addend leaves the
+other addend to the window and term cuts, and a divisor with at most two
+terms divides with a FIFO in place of the heap and coefficient map.
 Sign and ordering queries that cannot be certified raise
 IndeterminateComparisonError rather than guessing.
 
@@ -29,6 +33,7 @@ import dataclasses
 import enum
 import heapq
 import math
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -146,12 +151,19 @@ def _quotient_terms(s: "LCElement", h: "LCElement", cfg: PrecisionConfig):
     ends the series and its exponent is the guarantee, since the
     coefficients between the window's edge and it are known to vanish.
     Ending at the window's edge, as ``_finalize`` does, can certify less
-    than the geometric series did."""
+    than the geometric series did.
+
+    When h has at most one term h_1*e^eta the recurrence is c(e) = s(e) -
+    h_1*c(e - eta), and the exponents it visits are those of s merged with
+    e + eta for each nonzero c(e), which arise in increasing order: a FIFO
+    replaces the heap and the coefficient map."""
     bound = min(s.guarantee, h.guarantee)
     if h.terms:
         lam = h.terms[0][0]
         steps = min(cfg.geometric_series_depth - 1, math.ceil(cfg.window / lam) + 1)
         bound = min(bound, (steps + 1) * lam)
+    if len(h.terms) <= 1:
+        return _short_quotient_terms(s, h, bound, cfg)
     coefficients: dict = {}
     terms = []
     pending = [e for e, _ in s.terms if e < bound]
@@ -183,6 +195,37 @@ def _quotient_terms(s: "LCElement", h: "LCElement", cfg: PrecisionConfig):
                 queued.add(successor)
                 heapq.heappush(pending, successor)
     return terms, bound
+
+
+def _short_quotient_terms(s: "LCElement", h: "LCElement", bound, cfg: PrecisionConfig):
+    """``_quotient_terms`` for h with at most one term: the same terms, stops
+    and guarantee."""
+    eta, h_eta = h.terms[0] if h.terms else (None, None)
+    spawned = deque()  # (e + eta, c(e)) for each nonzero c(e), e increasing
+    terms = []
+    index = 0
+    while True:
+        following = s.terms[index][0] if index < len(s.terms) else INF
+        if following >= bound:
+            following = INF
+        if spawned and spawned[0][0] <= following:
+            e, previous = spawned.popleft()
+            c = -h_eta * previous
+            if e == following:
+                c += s.terms[index][1]
+                index += 1
+        elif following != INF:
+            e, c = s.terms[index]
+            index += 1
+        else:
+            return terms, bound
+        if c == 0:
+            continue
+        if e >= cfg.window or len(terms) == cfg.max_terms:
+            return terms, e
+        terms.append((e, c))
+        if eta is not None and e + eta < bound:
+            spawned.append((e + eta, c))
 
 
 class OrderedFieldElement:
@@ -378,6 +421,12 @@ class LCElement(OrderedFieldElement):
         if other is NotImplemented:
             return NotImplemented
         cfg = active_precision()
+        # An exact zero adds nothing, but the other operand, which may have
+        # been made under a wider precision, still takes the active cuts.
+        if not other.terms and other.guarantee == INF:
+            return _finalize(self.terms, self.guarantee, cfg)
+        if not self.terms and self.guarantee == INF:
+            return _finalize(other.terms, other.guarantee, cfg)
         acc = dict(self.terms)
         for exponent, coefficient in other.terms:
             value = acc.get(exponent, Q(0)) + coefficient
@@ -411,6 +460,19 @@ class LCElement(OrderedFieldElement):
             cut = self.terms[0][0] + other.terms[0][0] + cfg.window
             if cut <= self.terms[-1][0] + other.terms[-1][0] < guarantee:
                 guarantee = cut
+        if len(self.terms) == 1 or len(other.terms) == 1:
+            # A one-term factor shifts and scales the other's terms, which
+            # stay sorted, distinct and nonzero.
+            ((shift, scale),), rest = (
+                (self.terms, other.terms) if len(self.terms) == 1 else (other.terms, self.terms)
+            )
+            terms = []
+            for exponent, coefficient in rest:
+                exponent += shift
+                if exponent >= guarantee:
+                    break
+                terms.append((exponent, scale * coefficient))
+            return _finalize(terms, guarantee, cfg)
         acc: dict = {}
         for ex, cx in self.terms:
             for ey, cy in other.terms:

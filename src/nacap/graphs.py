@@ -502,6 +502,9 @@ class WeightedGraph:
     def is_finite(self) -> bool:
         return self.vertex_count is not None
 
+    def vertex_exists(self, v: int) -> bool:
+        return self._structure.vertex_exists(v)
+
     def neighbors(self, v: int) -> dict:
         if v not in self._neighbors:
             pairs = sorted(self._structure.neighbors_of(v))
@@ -532,7 +535,7 @@ class WeightedGraph:
         order (the canonical enumeration order used by the solvers)."""
         if n < 1:
             raise ValueError("ball radius must be at least 1")
-        if not self._structure.vertex_exists(a):
+        if not self.vertex_exists(a):
             raise HorizonExhaustedError(f"root vertex {a} outside the graph")
         distances = self.distances_from(a, n - 1)
         return tuple(distances.keys())

@@ -12,18 +12,23 @@ Convergence of P^n to zero is never inferred from raw finite evidence: a
 restricted operator is certified through the exact minimum mean cycle of
 edge valuations (sound and complete on a finite restriction), the full
 operator through a recognized weight rule, and non-decay through a rational
-lower bound on a return probability, found by a search that stops at the
-first power that gives one.
+lower bound on a return probability of valuation 0.  Every p(x, y) is
+positive, so the leading terms of path products never cancel: the valuation
+of P^k(x0, x0) is the least sum of edge valuations over closed walks of k
+edges.  One min-plus walk recurrence gives those sums to the non-decay
+search, which builds a column only up to the first power where the sum is 0,
+and Karp's table to the minimum mean cycle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional, Tuple
 
 from . import scalars
 from .dirichlet import dirichlet_inverse_apply
-from .errors import ConvergenceNotCertifiedError, PreconditionError
+from .errors import ConvergenceNotCertifiedError, HorizonExhaustedError, PreconditionError
 from .exact import Q
 from .field import INF, active_precision, guarantee_str, scalar_json
 from .graphs import FactorialMonomialRule, MonomialRule
@@ -84,9 +89,12 @@ def _apply(ctx: TransitionContext, f: dict, restrict) -> dict:
     return out
 
 
-def _restriction(restrict, x, y) -> Optional[frozenset]:
+def _restriction(ctx: TransitionContext, restrict, x, y) -> Optional[frozenset]:
     """`restrict` as a frozenset (None for the full graph), checked to
-    contain x and y."""
+    contain x and y; both must be vertices of the graph."""
+    for v in (x, y):
+        if not ctx.graph.vertex_exists(v):
+            raise HorizonExhaustedError(f"vertex {v} outside the graph")
     if restrict is None:
         return None
     restrict = frozenset(restrict)
@@ -110,7 +118,7 @@ def _column(ctx: TransitionContext, y, restrict: Optional[frozenset], N) -> list
 def transition_powers(ctx: TransitionContext, x, y, N, restrict=None) -> list:
     """[P^n(x, y) for n = 0..N], restricted to paths inside `restrict` when
     given.  Exact dynamic programming, never dense matrix powers."""
-    restrict = _restriction(restrict, x, y)
+    restrict = _restriction(ctx, restrict, x, y)
     zero = ctx.field.zero()
     return [f.get(x, zero) for f in _column(ctx, y, restrict, N)[: max(N, 0) + 1]]
 
@@ -140,7 +148,7 @@ def pi_element(ctx: TransitionContext, x, y, n, restrict=None) -> MaxPathResult:
     Candidates whose difference vanishes within the certified precision are
     ties and resolved to the first-found path under ascending neighbor
     order; this never changes the value below its guarantee."""
-    restrict = _restriction(restrict, x, y)
+    restrict = _restriction(ctx, restrict, x, y)
     if n == 0:
         one = ctx.field.one()
         return MaxPathResult(one, (x,)) if x == y else MaxPathResult(ctx.field.zero(), None)
@@ -185,6 +193,29 @@ def pi_element(ctx: TransitionContext, x, y, n, restrict=None) -> MaxPathResult:
 # ---------------------------------------------------------------------------
 
 
+def _walk_valuations(ctx: TransitionContext, source, inside):
+    """Yield d_0, d_1, ... of the min-plus walk recurrence: d_k maps each
+    vertex v to the least sum of edge valuations val b(u, w) - val b(u) over
+    the walks of k edges from source to v inside the vertex set `inside`."""
+    graph = ctx.graph
+    edges: dict = {}  # u -> [(w, val b(u, w) - val b(u)) for w in inside]
+    row = {source: Q(0)}
+    while True:
+        yield row
+        following = {}
+        for u, du in row.items():
+            if u not in edges:
+                degree = graph.degree_weight(u).valuation
+                edges[u] = [
+                    (w, b.valuation - degree) for w, b in graph.neighbors(u).items() if w in inside
+                ]
+            for w, valuation in edges[u]:
+                candidate = du + valuation
+                if w not in following or candidate < following[w]:
+                    following[w] = candidate
+        row = following
+
+
 def min_mean_cycle_valuation(ctx: TransitionContext, K):
     """Exact minimum mean of edge valuations over the cycles of the
     restriction to K (Karp's recurrence over the rationals).
@@ -193,39 +224,18 @@ def min_mean_cycle_valuation(ctx: TransitionContext, K):
     value certifies P_K^n -> 0 and a zero value certifies non-decay.
     Returns +inf when the restriction has no cycle (singleton K)."""
     nodes = sorted(set(K))
-    index = {v: i for i, v in enumerate(nodes)}
-    m = len(nodes)
-    edges = []
-    for u in nodes:
-        degree = ctx.graph.degree_weight(u).valuation
-        for v, b in ctx.graph.neighbors(u).items():
-            if v in index:
-                edges.append((index[u], index[v], b.valuation - degree))
-    if not edges:
+    if not nodes:
         return INF
-    table = [[None] * m for _ in range(m + 1)]
-    table[0][0] = Q(0)
-    for k in range(1, m + 1):
-        previous = table[k - 1]
-        row = table[k]
-        for u, v, w in edges:
-            du = previous[u]
-            if du is None:
-                continue
-            candidate = du + w
-            if row[v] is None or candidate < row[v]:
-                row[v] = candidate
+    m = len(nodes)
+    table = list(islice(_walk_valuations(ctx, nodes[0], set(nodes)), m + 1))
     best = None
-    last = table[m]
-    for v in range(m):
-        if last[v] is None:
-            continue
+    for v, last in table[m].items():
         worst = None
         for k in range(m):
-            dk = table[k][v]
+            dk = table[k].get(v)
             if dk is None:
                 continue
-            mean = (last[v] - dk) / (m - k)
+            mean = (last - dk) / (m - k)
             if worst is None or mean > worst:
                 worst = mean
         if worst is not None and (best is None or worst < best):
@@ -303,14 +313,24 @@ def nonvanishing_certificate(
 ) -> Optional[NonvanishingCertificate]:
     """Search k in 2..max_power for a return probability with valuation 0;
     its standard part (halved when that is needed for certification) is the
-    rational lower bound.  The column of x0 is extended one power at a time
-    and the search stops at the first such k."""
-    restrict = _restriction(restrict, x0, x0)
-    zero = ctx.field.zero()
-    for k in range(2, max_power + 1):
-        element = _column(ctx, x0, restrict, k)[k].get(x0, zero)
-        if element.valuation != 0:
+    rational lower bound.
+
+    The valuations come first, from the min-plus walk recurrence alone.
+    Every p(u, v) is positive, so the leading coefficients of the path
+    products at the least valuation add up without cancelling: val P^k(x0,
+    x0) is the least sum of edge valuations over the closed walks of k
+    edges, and +inf exactly when there is none.  Such a walk stays within
+    distance max_power/2 of x0.  The column of x0 is built only up to the
+    first k whose least sum is 0, and not at all when there is none."""
+    restrict = _restriction(ctx, restrict, x0, x0)
+    inside = set(ctx.graph.ball(x0, max_power // 2 + 1))
+    if restrict is not None:
+        inside &= restrict
+    walks = _walk_valuations(ctx, x0, inside)
+    for k, row in enumerate(islice(walks, max_power + 1)):
+        if k < 2 or row.get(x0) != 0:
             continue
+        element = _column(ctx, x0, restrict, k)[k][x0]
         c = element.standard_part()
         diff = element - ctx.field.rational(c)
         if scalars.is_zero_like(diff) or diff.sign() < 0:

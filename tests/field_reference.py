@@ -1,19 +1,36 @@
-"""Reference kernels for LCElement multiplication, inversion and division.
+"""Reference kernels for LCElement addition, multiplication, inversion and
+division.
 
 These are the straightforward forms the library's kernels must agree with:
+addition merges the terms in a map and truncates afterwards;
 multiplication forms every pair of terms and truncates afterwards;
 inversion evaluates the geometric series in h with at most
 ``geometric_series_depth`` window-truncated products; division multiplies
-by that inverse.  The differential tests in ``test_field_kernel.py`` and
-``test_transition.py`` compare the library against them with
-``assert_refines``.
+by that inverse.  ``reference_quotient_terms`` is the general long division
+by 1 + h, with a heap of pending exponents and a map of the coefficients
+found.  The differential tests in ``test_field_kernel.py`` and
+``test_transition.py`` compare the library against them: addition,
+multiplication and the long division term for term, inversion and division
+with ``assert_refines``.
 """
 
+import heapq
 import math
 
 from nacap.errors import IndeterminateComparisonError
 from nacap.exact import Q
 from nacap.field import _ONE, INF, LCElement, _finalize, active_precision
+
+
+def reference_add(x: LCElement, y: LCElement) -> LCElement:
+    acc = dict(x.terms)
+    for exponent, coefficient in y.terms:
+        value = acc.get(exponent, Q(0)) + coefficient
+        if value == 0:
+            acc.pop(exponent, None)
+        else:
+            acc[exponent] = value
+    return _finalize(sorted(acc.items()), min(x.guarantee, y.guarantee), active_precision())
 
 
 def reference_mul(x: LCElement, y: LCElement) -> LCElement:
@@ -33,6 +50,47 @@ def reference_mul(x: LCElement, y: LCElement) -> LCElement:
             else:
                 acc[exponent] = value
     return _finalize(sorted(acc.items()), guarantee, cfg)
+
+
+def reference_quotient_terms(s: LCElement, h: LCElement, cfg):
+    """(terms, guarantee) of s/(1+h), as ``field._quotient_terms`` returns
+    them, for s of valuation 0 and h of positive valuation."""
+    bound = min(s.guarantee, h.guarantee)
+    if h.terms:
+        lam = h.terms[0][0]
+        steps = min(cfg.geometric_series_depth - 1, math.ceil(cfg.window / lam) + 1)
+        bound = min(bound, (steps + 1) * lam)
+    coefficients: dict = {}
+    terms = []
+    pending = [e for e, _ in s.terms if e < bound]
+    queued = set(pending)
+    index = 0
+    while pending:
+        e = heapq.heappop(pending)
+        c = Q(0)
+        if index < len(s.terms) and s.terms[index][0] == e:
+            c = s.terms[index][1]
+            index += 1
+        for eta, h_eta in h.terms:
+            if eta > e:
+                break
+            previous = coefficients.get(e - eta)
+            if previous is not None:
+                c -= h_eta * previous
+        if c == 0:
+            continue
+        if e >= cfg.window or len(terms) == cfg.max_terms:
+            return terms, e
+        coefficients[e] = c
+        terms.append((e, c))
+        for eta, _ in h.terms:
+            successor = e + eta
+            if successor >= bound:
+                break
+            if successor not in queued:
+                queued.add(successor)
+                heapq.heappush(pending, successor)
+    return terms, bound
 
 
 def reference_inv(x: LCElement) -> LCElement:

@@ -235,6 +235,41 @@ class TestDeterminismAndErrors:
         assert exit_info.value.code == 2 and captured.out == ""
         assert f"argument {flag}: must be nonnegative, got -1" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            ("capacity --spec ex1 --horizon 0", "--horizon", 0),
+            ("nash-williams --spec ex1 --horizon -1", "--horizon", -1),
+            ("solve-dp --spec ex2 --horizon 0", "--horizon", 0),
+            ("hardy --spec ex2 --samples -1 --horizon 4", "--samples", -1),
+            ("hardy --spec ex2 --samples 0 --horizon 4", "--samples", 0),
+        ],
+    )
+    def test_refuses_a_nonpositive_horizon_or_sample_count(self, capsys, argv, flag, value):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv.split())
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2 and captured.out == ""
+        assert f"argument {flag}: must be positive, got {value}" in captured.err
+
+    @pytest.mark.parametrize(
+        "options",
+        [(), ("--max-product",), ("--series", "3"), ("--restrict", "2"),
+         ("--series", "3", "--restrict", "2"), ("--max-product", "--restrict", "2")],
+        ids=lambda options: "_".join(o[2:] for o in options if o.startswith("--")) or "plain",
+    )
+    @pytest.mark.parametrize("n", ["0", "2"])
+    @pytest.mark.parametrize("endpoints", [("-1", "0"), ("0", "-1")], ids=["x", "y"])
+    def test_transition_refuses_a_missing_endpoint(self, capsys, endpoints, n, options):
+        # With --restrict a missing x is already refused while its ball is
+        # built, as "root vertex -1 outside the graph".
+        x, y = endpoints
+        code, out, err = run(
+            capsys, "transition", "--spec", "ex1", "--x", x, "--y", y, "--n", n, *options
+        )
+        assert code == 4 and out == ""
+        assert "vertex -1 outside the graph" in err
+
     def test_precondition_exit_code(self, capsys):
         # Null capacity: Hardy construction must refuse with exit code 4.
         code, _, err = run(capsys, "hardy", "--spec", "ex1")

@@ -1,10 +1,12 @@
-"""Differential tests: the LCElement multiplication, inversion and division
-kernels against the reference forms in ``field_reference.py``.
+"""Differential tests: the LCElement addition, multiplication, inversion and
+division kernels against the reference forms in ``field_reference.py``.
 
-Multiplication must return exactly the reference element.  Inversion and
-division may certify more than the reference: their terms must agree below
-the reference guarantee, and their guarantee must be at least the reference
-one.
+Addition, multiplication and the long division by 1 + h must return exactly
+the reference element, also on the short operands that take their own
+paths: one-term factors, exact-zero addends and divisors with at most two
+terms.  Inversion and division may certify more than the reference: their
+terms must agree below the reference guarantee, and their guarantee must be
+at least the reference one.
 """
 
 import random
@@ -12,7 +14,15 @@ from fractions import Fraction
 
 import pytest
 
-from field_reference import assert_refines, reference_div, reference_inv, reference_mul
+from field_reference import (
+    assert_refines,
+    reference_add,
+    reference_div,
+    reference_inv,
+    reference_mul,
+    reference_quotient_terms,
+)
+from nacap import field
 from nacap.errors import IndeterminateComparisonError
 from nacap.field import _ONE, INF, LCElement, PrecisionConfig, precision
 
@@ -37,10 +47,29 @@ def random_element(rng):
     count = rng.randint(1, 8)
     start = rng.randint(-8, 8)
     offsets = sorted(rng.sample(range(span), min(count, span)))
-    terms = []
-    for offset in offsets:
-        numerator = rng.choice([n for n in range(-4, 5) if n])
-        terms.append(((start + offset) * step, Fraction(numerator, rng.randint(1, 3))))
+    terms = [((start + offset) * step, random_coefficient(rng)) for offset in offsets]
+    guarantee = INF if rng.random() < 0.5 else terms[-1][0] + rng.randint(1, 16) * step
+    return LCElement(tuple(terms), guarantee)
+
+
+def random_coefficient(rng):
+    numerator = rng.choice([n for n in range(-4, 5) if n])
+    return Fraction(numerator, rng.randint(1, 3))
+
+
+def short_element(rng):
+    """An exact zero, a zero-like element, or an element of one or two
+    terms whose guarantee is infinite or lies a few steps above them."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return LCElement.zero()
+    step = rng.choice(GRIDS)
+    start = rng.randint(-8, 8) * step
+    if kind == 1:
+        return LCElement((), start)
+    terms = [(start, random_coefficient(rng))]
+    if kind == 3:
+        terms.append((start + rng.randint(1, 40) * step, random_coefficient(rng)))
     guarantee = INF if rng.random() < 0.5 else terms[-1][0] + rng.randint(1, 16) * step
     return LCElement(tuple(terms), guarantee)
 
@@ -72,6 +101,31 @@ def test_kernels_match_reference(seed):
     rng = random.Random(seed)
     for _ in range(250):
         check_case(rng)
+
+
+def check_short_case(rng, monkeypatch):
+    cfg = random_config(rng)
+    short = short_element(rng)
+    other = short_element(rng) if rng.random() < 0.3 else random_element(rng)
+    with precision(cfg):
+        for x, y in ((short, other), (other, short)):
+            assert x * y == reference_mul(x, y)
+            assert x + y == reference_add(x, y)
+            if not x.terms or not y.terms:
+                continue
+            quotient = x / y
+            with monkeypatch.context() as patched:
+                patched.setattr(field, "_quotient_terms", reference_quotient_terms)
+                assert quotient == x / y
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_short_operands_match_the_general_kernels(seed, monkeypatch):
+    # Elements drawn with many terms or long spans were made under a wider
+    # precision than most drawn configurations: they meet its cuts here.
+    rng = random.Random(1000 + seed)
+    for _ in range(250):
+        check_short_case(rng, monkeypatch)
 
 
 def lc(terms, guarantee=INF):
@@ -180,3 +234,45 @@ class TestDivision:
         assert quotient == lc([(0, 1), (2, 1)], Fraction(4))
         assert ref.guarantee == 3
         assert_refines(quotient, ref)
+
+
+class TestShortOperands:
+    def test_wide_operands_take_the_active_cuts(self):
+        # 1/(1 - e) made in a window of 32 keeps 32 terms; combined with an
+        # exact zero or a one-term factor in a window of 4 with at most 3
+        # terms, the max_terms cut sets the guarantee at e^3.
+        with precision(window=32):
+            wide = _ONE / lc([(0, 1), (1, -1)])
+        assert len(wide.terms) == 32
+        with precision(window=4, max_terms=3):
+            assert wide + LCElement.zero() == lc([(0, 1), (1, 1), (2, 1)], Fraction(3))
+            assert LCElement.zero() + wide == reference_add(LCElement.zero(), wide)
+            assert 2 * wide == lc([(0, 2), (1, 2), (2, 2)], Fraction(3))
+            assert wide * LCElement.eps() == reference_mul(wide, LCElement.eps())
+
+    def test_one_term_factor_meets_the_window_below_its_guarantee(self):
+        # The guarantee 6 comes from the one-term factor; the pairs at 5 and
+        # 9 lie past cut = 4, so the window cuts at 4.
+        x, y = lc([(0, 1)], Fraction(6)), lc([(0, 1), (3, 1), (5, 1), (9, 1)])
+        with precision(window=4):
+            assert x * y == lc([(0, 1), (3, 1)], Fraction(4)) == reference_mul(x, y)
+
+    @pytest.mark.parametrize(
+        "s, h, config, expected",
+        [
+            # h = 0: s is copied up to the window's edge; its next term is
+            # the guarantee.
+            ([(0, 1), (2, 3), (5, 1)], [], dict(window=4), ([(0, 1), (2, 3)], 5)),
+            # 1/(1 + e) = 1 - e + e^2 - ..., stopped by max_terms.
+            ([(0, 1)], [(1, 1)], dict(max_terms=3), ([(0, 1), (1, -1), (2, 1)], 3)),
+            # (1 + e)/(1 + e) = 1: s's exponent 1 meets the spawned 0 + 1.
+            # The geometric series of 33 steps certifies it below e^34.
+            ([(0, 1), (1, 1)], [(1, 1)], {}, ([(0, 1)], 34)),
+        ],
+    )
+    def test_long_division_by_a_short_divisor(self, s, h, config, expected):
+        s, h = lc(s), lc(h)
+        cfg = PrecisionConfig(**config)
+        terms, guarantee = field._quotient_terms(s, h, cfg)
+        assert (terms, guarantee) == reference_quotient_terms(s, h, cfg)
+        assert (tuple(terms), guarantee) == (lc(expected[0]).terms, expected[1])

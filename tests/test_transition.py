@@ -2,13 +2,13 @@
 
 import random
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import islice, product as iproduct
 
 import pytest
 
 from nacap import transition
 from nacap.errors import ConvergenceNotCertifiedError
-from nacap.field import INF, LCElement, precision
+from nacap.field import INF, LCElement, PrecisionConfig, precision
 from nacap.ratfunc import RFElement
 from nacap.graphs import (
     ConstantRule,
@@ -296,6 +296,58 @@ class TestNeumann:
         report = neumann_partial(unit_ctx(), 0, 0, 4)
         assert report.certificate.power == 2
         assert len(applied) == 4
+
+
+class TestNonDecaySearch:
+    """The min-plus walk recurrence gives the valuation of every return
+    probability without building a column."""
+
+    @pytest.mark.parametrize("index", range(17))
+    def test_walk_valuations_are_return_valuations(self, index):
+        graph = reference_graphs()[index]
+        for config in (BASE_CONFIG, PrecisionConfig()):
+            with precision(config):
+                ctx = TransitionContext(graph)
+                for x0 in ctx.graph.ball(0, 2):
+                    for restrict in (None, ctx.graph.ball(x0, 2), ctx.graph.ball(x0, 3)):
+                        # Closed walks of at most 8 edges stay within distance 4.
+                        inside = set(ctx.graph.ball(x0, 5))
+                        if restrict is not None:
+                            inside &= set(restrict)
+                        rows = islice(transition._walk_valuations(ctx, x0, inside), 9)
+                        powers = transition_powers(ctx, x0, x0, 8, restrict)
+                        for row, element in zip(rows, powers):
+                            least = row.get(x0, INF)
+                            assert least == element.valuation
+                            exact_zero = not element and element.guarantee == INF
+                            assert (least == INF) == exact_zero
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "ex5",
+            {"kind": "spherical", "weights": {"rule": "eps_pow_neg_k"},
+             "sphere_sizes": {"rule": "pow", "base": 2}},
+        ],
+        ids=["ex5", "growing-spheres"],
+    )
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_series_without_a_zero_valuation_return_builds_no_column(self, spec, N, monkeypatch):
+        # No return probability has valuation 0, so the search extends no
+        # column past the N powers of the partial sum.
+        applied = []
+        apply = transition._apply
+
+        def counting_apply(*args):
+            applied.append(args)
+            return apply(*args)
+
+        monkeypatch.setattr(transition, "_apply", counting_apply)
+        graph, config = build_graph(load_spec(spec) if isinstance(spec, str) else spec)
+        with precision(config):
+            report = neumann_partial(TransitionContext(graph), 0, 0, N)
+        assert report.certificate is None
+        assert len(applied) == N
 
 
 class TestCost:
