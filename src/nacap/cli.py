@@ -7,13 +7,19 @@ element carries its guarantee exponent, and the report ends with a
 precision audit (the least guarantee encountered).
 
 Exit codes: 0 success, 2 spec or usage error, 3 precision exhausted,
-4 mathematical precondition failed.
+4 mathematical precondition failed, 5 internal invariant violated (a bug:
+an assertion such as the maximum principle or capacity monotonicity
+failed).
+
+`main(argv)` may be called repeatedly in one process: the argument parser
+is built on the first call and reused, since parsing keeps no state in it.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -48,6 +54,7 @@ EXIT_OK = 0
 EXIT_SPEC = 2
 EXIT_PRECISION = 3
 EXIT_PRECONDITION = 4
+EXIT_INVARIANT = 5
 
 
 def _values_json(values):
@@ -260,6 +267,7 @@ HANDLERS = {
 }
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="nacap",
@@ -386,6 +394,9 @@ def main(argv=None) -> int:
     except PreconditionError as err:
         print(f"precondition failed: {err}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except AssertionError as err:
+        print(f"internal invariant violated: {err}", file=sys.stderr)
+        return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

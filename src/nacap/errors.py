@@ -3,7 +3,10 @@
 Three families matter operationally: spec/input errors (CLI exit code 2),
 precision exhaustion (exit code 3) and violated mathematical preconditions
 (exit code 4).  Everything derives from NacapError so callers can catch the
-whole library with one clause.
+whole library with one clause.  A violated internal invariant (maximum
+principle, capacity monotonicity, superharmonic construction) is a bug, not
+an input error: it stays an AssertionError, which the CLI reports with exit
+code 5.
 """
 
 

@@ -17,7 +17,8 @@ positive, so the leading terms of path products never cancel: the valuation
 of P^k(x0, x0) is the least sum of edge valuations over closed walks of k
 edges.  One min-plus walk recurrence gives those sums to the non-decay
 search, which builds a column only up to the first power where the sum is 0,
-and Karp's table to the minimum mean cycle.
+and Karp's table to the minimum mean cycle, started from every vertex of the
+restriction at once.
 """
 
 from __future__ import annotations
@@ -193,13 +194,14 @@ def pi_element(ctx: TransitionContext, x, y, n, restrict=None) -> MaxPathResult:
 # ---------------------------------------------------------------------------
 
 
-def _walk_valuations(ctx: TransitionContext, source, inside):
+def _walk_valuations(ctx: TransitionContext, sources, inside):
     """Yield d_0, d_1, ... of the min-plus walk recurrence: d_k maps each
     vertex v to the least sum of edge valuations val b(u, w) - val b(u) over
-    the walks of k edges from source to v inside the vertex set `inside`."""
+    the walks of k edges from any of `sources` to v inside the vertex set
+    `inside`."""
     graph = ctx.graph
     edges: dict = {}  # u -> [(w, val b(u, w) - val b(u)) for w in inside]
-    row = {source: Q(0)}
+    row = dict.fromkeys(sources, Q(0))
     while True:
         yield row
         following = {}
@@ -222,12 +224,16 @@ def min_mean_cycle_valuation(ctx: TransitionContext, K):
 
     The valuation of P_K^n grows like n times this quantity, so a positive
     value certifies P_K^n -> 0 and a zero value certifies non-decay.
-    Returns +inf when the restriction has no cycle (singleton K)."""
-    nodes = sorted(set(K))
+    Returns +inf when the restriction has no cycle (singleton K).
+
+    Every vertex of K starts the table at 0 (Karp's super-source), so a
+    cycle is seen even when K, taken alone, does not connect it to the
+    rest of K."""
+    nodes = set(K)
     if not nodes:
         return INF
     m = len(nodes)
-    table = list(islice(_walk_valuations(ctx, nodes[0], set(nodes)), m + 1))
+    table = list(islice(_walk_valuations(ctx, nodes, nodes), m + 1))
     best = None
     for v, last in table[m].items():
         worst = None
@@ -326,7 +332,7 @@ def nonvanishing_certificate(
     inside = set(ctx.graph.ball(x0, max_power // 2 + 1))
     if restrict is not None:
         inside &= restrict
-    walks = _walk_valuations(ctx, x0, inside)
+    walks = _walk_valuations(ctx, (x0,), inside)
     for k, row in enumerate(islice(walks, max_power + 1)):
         if k < 2 or row.get(x0) != 0:
             continue

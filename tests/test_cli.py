@@ -1,9 +1,16 @@
 """CLI surface: reports, determinism, exit codes."""
 
+import argparse
+import importlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import nacap
+from nacap import cli
 from nacap.cli import main
 from nacap.specfile import load_spec
 
@@ -374,3 +381,93 @@ class TestMoreCommands:
             capsys, "solve-dp", "--spec", str(spec), "--root", "0", "--horizon", "1"
         )
         assert report["outputs"]["capacity"]["value"] == "2"
+
+
+# One process, one sequence of calls: each call must print and return what a
+# freshly built parser gives, whatever the calls before it parsed.
+REUSE_SEQUENCE = (
+    "capacity --spec ex1 --horizon 0",
+    "classify --spec ex2 --json --human",
+    "classify --spec ex2 --human",
+    "capacity --spec ex1 --horizon 4 --min-guarantee 1000",
+    "classify --spec ex5 --horizon 3",
+    "classify --spec ex5",
+    "classify --spec /does/not/exist.json",
+    "transition --spec ex1 --x 0 --y 0 --n 2",
+)
+
+
+def run_sequence(capsys):
+    results = []
+    for line in REUSE_SEQUENCE:
+        try:
+            code = main(line.split())
+        except SystemExit as exit_info:
+            code = exit_info.code
+        captured = capsys.readouterr()
+        results.append((line, code, captured.out, captured.err))
+    return results
+
+
+class TestParserReuse:
+    def test_reused_parser_reports_like_a_fresh_one(self, capsys, monkeypatch):
+        reused = run_sequence(capsys)
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        fresh = run_sequence(capsys)
+        assert reused == fresh
+        assert [code for _, code, _, _ in reused] == [2, 2, 0, 3, 0, 0, 2, 0]
+
+    def test_parser_is_built_on_the_first_call_only(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        monkeypatch.delitem(sys.modules, "nacap.cli")
+        monkeypatch.delattr(nacap, "cli")
+        fresh = importlib.import_module("nacap.cli")
+        assert built == []
+        assert fresh.main(["classify", "--spec", "ex2"]) == 0
+        assert "nacap" in built
+        count = len(built)
+        assert fresh.main(["classify", "--spec", "ex1", "--horizon", "3"]) == 0
+        assert len(built) == count
+        capsys.readouterr()
+
+
+class TestInvariantExitCode:
+    def test_assertion_in_a_handler_exits_5(self, capsys, monkeypatch):
+        def violated(graph, args):
+            raise AssertionError("maximum principle violated at vertex 3")
+
+        monkeypatch.setitem(cli.HANDLERS, "capacity", violated)
+        code, out, err = run(capsys, "capacity", "--spec", "ex1", "--horizon", "2")
+        assert code == cli.EXIT_INVARIANT == 5 and out == ""
+        assert err == "internal invariant violated: maximum principle violated at vertex 3\n"
+
+
+class TestModuleEntryPoint:
+    """`python -m nacap` runs the same `main` as the `nacap` script."""
+
+    def run_module(self, *argv):
+        src = os.path.dirname(os.path.dirname(nacap.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        ))
+        return subprocess.run(
+            [sys.executable, "-m", "nacap", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    def test_report(self):
+        done = self.run_module("classify", "--spec", "ex2")
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["outputs"]["verdict"]["kind"] == "positive"
+
+    def test_usage_error(self):
+        done = self.run_module("capacity", "--spec", "ex1", "--horizon", "0")
+        assert done.returncode == 2 and done.stdout == ""
+        assert "argument --horizon: must be positive, got 0" in done.stderr

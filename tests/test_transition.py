@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import islice, product as iproduct
+from itertools import combinations, islice, product as iproduct
 
 import pytest
 
@@ -18,6 +18,7 @@ from nacap.graphs import (
     ListSize,
     MonomialRule,
     SphericalProfile,
+    make_explicit,
     make_path,
     make_spherical,
 )
@@ -67,6 +68,34 @@ def half_power_ctx():
 
 def growing_ctx():
     return TransitionContext(make_path(MonomialRule(slope=-1)))
+
+
+def split_ctx():
+    # b(0,1) = eps, b(1,2) = b(2,3) = 1: removing 1 cuts 0 off from 2-3.
+    return TransitionContext(make_explicit(4, [(0, 1, EPS), (1, 2, ONE), (2, 3, ONE)]))
+
+
+def least_closed_walk_mean(ctx, K):
+    """Brute-force oracle for the minimum mean cycle of the restriction to
+    K: the least mean of edge valuations over the closed walks of at most
+    |K| edges from each vertex of K, one start at a time."""
+    K = set(K)
+    graph = ctx.graph
+    best = INF
+    for v in K:
+        row = {v: Fraction(0)}
+        for k in range(1, len(K) + 1):
+            following = {}
+            for u, du in row.items():
+                degree = graph.degree_weight(u).valuation
+                for w, b in graph.neighbors(u).items():
+                    if w in K:
+                        candidate = du + b.valuation - degree
+                        following[w] = min(following.get(w, INF), candidate)
+            row = following
+            if v in row:
+                best = min(best, row[v] / k)
+    return best
 
 
 def min_return_valuation(n, top):
@@ -195,6 +224,35 @@ class TestDecayCertificates:
         assert min_mean_cycle_valuation(half_power_ctx(), range(5)) == Fraction(1, 32)
         assert min_mean_cycle_valuation(unit_ctx(), (0,)) == INF
 
+    def test_min_mean_cycle_sees_a_cycle_its_least_vertex_cannot_reach(self):
+        # Inside K = {0, 2, 3} vertex 0 has no edge, so walks from 0 alone
+        # never meet the cycle 2-3, whose edge valuations are 0.
+        ctx = split_ctx()
+        assert min_mean_cycle_valuation(ctx, (0, 2, 3)) == 0
+        assert min_mean_cycle_valuation(ctx, (2, 3)) == 0
+        assert min_mean_cycle_valuation(ctx, (0, 3)) == INF
+        assert restricted_decay_certificate(ctx, (0, 2, 3)) is None
+
+    def test_series_on_a_split_restriction_is_not_certified_convergent(self):
+        report = neumann_partial(split_ctx(), 2, 2, 6, restrict=(0, 2, 3))
+        assert report.term_valuations == (0, INF, 0, INF, 0, INF, 0)
+        assert report.trend["convergent"] is False
+        assert report.certificate.to_json() == {
+            "type": "nonvanishing_rational_bound", "vertex": 2, "power": 2, "bound": "1/2",
+        }
+
+    @pytest.mark.parametrize("index", range(17))
+    def test_min_mean_cycle_matches_closed_walks(self, index):
+        # Every subset of a ball (64 drawn from the larger balls), many of
+        # them not connected.
+        ctx = TransitionContext(reference_graphs()[index])
+        ball = ctx.graph.ball(0, 5)
+        subsets = [K for size in range(1, len(ball) + 1) for K in combinations(ball, size)]
+        if len(subsets) > 64:
+            subsets = random.Random(index).sample(subsets, 64)
+        for K in subsets:
+            assert min_mean_cycle_valuation(ctx, K) == least_closed_walk_mean(ctx, K), K
+
     def test_restricted_certificate(self):
         assert restricted_decay_certificate(half_power_ctx(), range(5)) is not None
         assert restricted_decay_certificate(unit_ctx(), range(5)) is None
@@ -314,7 +372,7 @@ class TestNonDecaySearch:
                         inside = set(ctx.graph.ball(x0, 5))
                         if restrict is not None:
                             inside &= set(restrict)
-                        rows = islice(transition._walk_valuations(ctx, x0, inside), 9)
+                        rows = islice(transition._walk_valuations(ctx, (x0,), inside), 9)
                         powers = transition_powers(ctx, x0, x0, 8, restrict)
                         for row, element in zip(rows, powers):
                             least = row.get(x0, INF)
