@@ -417,7 +417,7 @@ class TestParserReuse:
         assert reused == fresh
         assert [code for _, code, _, _ in reused] == [2, 2, 0, 3, 0, 0, 2, 0]
 
-    def test_parser_is_built_on_the_first_call_only(self, capsys, monkeypatch):
+    def test_parser_is_built_on_the_first_call_only(self, monkeypatch):
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -435,7 +435,6 @@ class TestParserReuse:
         count = len(built)
         assert fresh.main(["classify", "--spec", "ex1", "--horizon", "3"]) == 0
         assert len(built) == count
-        capsys.readouterr()
 
 
 class TestInvariantExitCode:
@@ -454,9 +453,8 @@ class TestModuleEntryPoint:
 
     def run_module(self, *argv):
         src = os.path.dirname(os.path.dirname(nacap.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-        ))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
         return subprocess.run(
             [sys.executable, "-m", "nacap", *argv],
             capture_output=True, text=True, env=env, timeout=120,
