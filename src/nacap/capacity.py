@@ -12,11 +12,12 @@ observed valuation trend as evidence, never a guess.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, islice, pairwise, repeat
 from typing import Optional, Tuple
 
 from . import scalars
 from .dirichlet import effective_capacity
-from .errors import PrecisionExhaustedError, PreconditionError
+from .errors import HorizonExhaustedError, PrecisionExhaustedError, PreconditionError
 from .exact import Q
 from .field import INF, active_precision, guarantee_str, scalar_json
 from .graphs import Trend
@@ -36,24 +37,26 @@ INCONCLUSIVE = "inconclusive"
 class CapacitySequence:
     """cap_n(a) for n = 1..N along the ball exhaustion, with the valuations
     of consecutive differences (INF when a difference vanishes within its
-    guarantee).  Monotonicity cap_{n+1} <= cap_n is asserted on creation."""
+    guarantee), ending early where B_n fills a finite graph.  Monotonicity
+    cap_{n+1} <= cap_n is asserted on creation."""
 
     root: int
     values: Tuple
     difference_valuations: Tuple
-    saturated: bool = False  # the exhaustion filled a finite graph
+
+
+def _check_root(graph, a):
+    if not graph.vertex_exists(a):
+        raise HorizonExhaustedError(f"root vertex {a} outside the graph")
 
 
 def capacity_sequence(graph, a, N) -> CapacitySequence:
+    """B_n = S_0 ∪ ... ∪ S_{n-1} grows by one sphere of one walk around a."""
+    _check_root(graph, a)
     values = []
-    previous_ball = None
-    saturated = False
-    for n in range(1, N + 1):
-        ball = graph.ball(a, n)
-        if previous_ball is not None and len(ball) == len(previous_ball):
-            saturated = True
-            break
-        previous_ball = ball
+    ball = []
+    for sphere in islice(graph.spheres(a), N):
+        ball.extend(sphere)
         values.append(effective_capacity(graph, ball, a))
     diffs = []
     for small, large in zip(values[1:], values):
@@ -61,7 +64,7 @@ def capacity_sequence(graph, a, N) -> CapacitySequence:
         if scalars.certainly_positive(-step):
             raise AssertionError("capacity failed to decrease along the exhaustion")
         diffs.append(step.valuation)
-    return CapacitySequence(a, tuple(values), tuple(diffs), saturated)
+    return CapacitySequence(a, tuple(values), tuple(diffs))
 
 
 def increasing_suffix_length(valuations) -> int:
@@ -145,14 +148,13 @@ class NashWilliamsCertificate:
 
 @dataclass(frozen=True)
 class BoundedBelowCertificate:
-    """All edge weights are at least `bound` (a positive element), which
-    rules out null capacity by the monotonicity law."""
+    """Every edge weight of a finite graph is at least `bound` (a positive
+    element), which rules out null capacity by the monotonicity law."""
 
     bound: object
-    scope: str  # "rule" or "materialized"
 
     def to_json(self):
-        return {"type": "bounded_below", "bound": str(self.bound), "scope": self.scope}
+        return {"type": "bounded_below", "bound": str(self.bound), "scope": "materialized"}
 
 
 @dataclass(frozen=True)
@@ -281,23 +283,27 @@ def _record_subsequence(valuations):
 
 def nash_williams(graph, a, N) -> Optional[NashWilliamsCertificate]:
     """Search for a subsequence of ball radii along which the boundary
-    weights (equivalently, the maximal boundary edges) tend to zero.
+    weights (equivalently, the maximal boundary edges) tend to zero.  The
+    edges leaving B_n are those from S_{n-1} to S_n (breadth-first
+    property), read from one walk; past its end the spheres are empty.
 
     A certificate whose trend is backed by a recognized weight rule is sound
     beyond the horizon (`provable`); raw finite evidence is reported with
-    provable=False and never upgraded to a verdict by the classifier.
-    Absence of a certificate is a valid outcome (returns None)."""
+    provable=False.  Absence of a certificate is a valid outcome (None)."""
+    _check_root(graph, a)
     boundary_vals = []
     max_edge_vals = []
-    for n in range(1, N + 1):
-        ball = set(graph.ball(a, n))
-        boundary_vals.append(graph.boundary_weight(ball).valuation)
+    spheres = chain(graph.spheres(a), repeat({}))
+    for inner, outer in islice(pairwise(spheres), N):
+        total = graph.field.zero()
         best = None
-        for x in sorted(ball):
+        for x in sorted(inner):
             for y, w in graph.neighbors(x).items():
-                if y not in ball:
+                if y in outer:
+                    total = total + w
                     if best is None or scalars.certainly_positive(w - best):
                         best = w
+        boundary_vals.append(total.valuation)
         max_edge_vals.append(best.valuation if best is not None else INF)
 
     rule = graph.weight_rule
@@ -323,25 +329,16 @@ def nash_williams(graph, a, N) -> Optional[NashWilliamsCertificate]:
 # ---------------------------------------------------------------------------
 
 
-def _edge_lower_bound(graph, a, N):
-    """Certified positive lower bound on edge weights, when one is knowable:
-    from a two-sided rule trend on generated graphs, or the materialized
-    minimum on finite graphs."""
-    rule = graph.weight_rule
-    if rule is not None:
-        trend = rule.trend(graph.field)
-        if trend.kind == Trend.TWO_SIDED and graph.is_path:
-            # On a path the rule values are exactly the edge weights.
-            return trend.lower, "rule"
-    if graph.is_finite:
-        best = None
-        for x in range(graph.vertex_count):
-            for y, w in graph.neighbors(x).items():
-                if best is None or scalars.certainly_positive(best - w):
-                    best = w
-        if best is not None and scalars.certainly_positive(best):
-            return best, "materialized"
-    return None, None
+def _edge_lower_bound(graph):
+    """The least edge weight of a finite graph, when certified positive."""
+    if not graph.is_finite:
+        return None
+    best = None
+    for x in range(graph.vertex_count):
+        for w in graph.neighbors(x).values():
+            if best is None or scalars.certainly_positive(best - w):
+                best = w
+    return best if best is not None and scalars.certainly_positive(best) else None
 
 
 def _horizon_verdict(graph, a, N) -> CapacityVerdict:
@@ -354,26 +351,20 @@ def _horizon_verdict(graph, a, N) -> CapacityVerdict:
 def classify_generic(graph, a, N) -> CapacityVerdict:
     """Certificate-based classification at root a and horizon N.
 
-    Order of soundness: recognized spherical profile (exact), provable
-    Nash-Williams subsequence (null), certified edge lower bound (rules out
-    null; reported as inconclusive with a bounded-below certificate), else
-    horizon evidence only.  The verdict is a property of the graph, not of
-    the root."""
+    Order of soundness: recognized spherical profile (exact), certified
+    least edge weight of a finite graph (rules out null; reported as
+    inconclusive with a bounded-below certificate), else horizon evidence
+    only.  The verdict is a property of the graph, not of the root.  Past
+    the first step the rule is absent or its trend unknown, so neither a
+    provable Nash-Williams subsequence (it needs a to_zero trend) nor a
+    rule's lower bound on the weights (a two_sided trend) can apply."""
+    _check_root(graph, a)
     rule = graph.weight_rule
     if rule is not None and rule.trend(graph.field).kind != Trend.UNKNOWN:
         return classify_spherical(graph, horizon=N)
-
-    certificate = nash_williams(graph, a, N)
-    if certificate is not None and certificate.provable:
-        return CapacityVerdict(NULL, root=a, certificate=certificate)
-
-    bound, scope = _edge_lower_bound(graph, a, N)
+    bound = _edge_lower_bound(graph)
     if bound is not None:
-        return CapacityVerdict(
-            INCONCLUSIVE,
-            root=a,
-            certificate=BoundedBelowCertificate(bound, scope),
-        )
+        return CapacityVerdict(INCONCLUSIVE, root=a, certificate=BoundedBelowCertificate(bound))
     return _horizon_verdict(graph, a, N)
 
 
@@ -386,10 +377,10 @@ def monotone_compare(graph, graph_prime, a, N):
     """Check cap_n(a) <= cap'_n(a) for n <= N given b <= b' edgewise.
 
     Returns the list of certified orderings (-1, 0 after identification
-    within guarantee).  Raises PreconditionError if the edgewise domination
-    fails, AssertionError if the monotonicity law itself is violated."""
-    ball = graph.ball(a, N)
-    for x in ball:
+    within guarantee, and 0 past saturation, where both capacities are 0).
+    Raises PreconditionError if the edgewise domination fails,
+    AssertionError if the monotonicity law itself is violated."""
+    for x in graph.ball(a, N):
         nbrs = graph.neighbors(x)
         nbrs_prime = graph_prime.neighbors(x)
         if set(nbrs) != set(nbrs_prime):
@@ -402,15 +393,15 @@ def monotone_compare(graph, graph_prime, a, N):
                 raise PreconditionError(
                     f"edge ({x},{y}) violates b <= b' precondition"
                 )
+    caps = capacity_sequence(graph, a, N).values
+    caps_prime = capacity_sequence(graph_prime, a, N).values
     orderings = []
-    for n in range(1, N + 1):
-        cap = effective_capacity(graph, graph.ball(a, n), a)
-        cap_prime = effective_capacity(graph_prime, graph_prime.ball(a, n), a)
+    for n, (cap, cap_prime) in enumerate(zip(caps, caps_prime), start=1):
         diff = cap - cap_prime
         if scalars.certainly_positive(diff):
             raise AssertionError(f"monotonicity law violated at radius {n}")
         orderings.append(-1 if scalars.certainly_positive(-diff) else 0)
-    return orderings
+    return orderings + [0] * (N - len(orderings))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ precision audit (the least guarantee encountered).
 Exit codes: 0 success, 2 spec or usage error, 3 precision exhausted,
 4 mathematical precondition failed, 5 internal invariant violated (a bug:
 an assertion such as the maximum principle or capacity monotonicity
-failed).
+failed, or a ValueError was raised past spec loading).  A reader closing
+the pipe early ends the output quietly and leaves the exit code as it was.
 
 `main(argv)` may be called repeatedly in one process: the argument parser
 is built on the first call and reused, since parsing keeps no state in it.
@@ -21,6 +22,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -117,12 +119,26 @@ _natural = _int_at_least(0, "nonnegative")
 _positive = _int_at_least(1, "positive")
 
 
-def _int_list(text):
-    return [int(part) for part in text.split(",") if part.strip() != ""]
+def _list_of(parse_item):
+    """An argparse type for a comma-separated list; empty items are skipped."""
+
+    def parse(text):
+        try:
+            return [parse_item(part) for part in text.split(",") if part.strip()]
+        except (ValueError, ZeroDivisionError):
+            raise argparse.ArgumentTypeError(f"invalid list: {text!r}") from None
+
+    return parse
 
 
-def _fraction_list(text):
-    return [Fraction(part.strip()) for part in text.split(",") if part.strip() != ""]
+def _print_report(text):
+    """Print a report.  If the reader closed the pipe, stdout is pointed at
+    os.devnull so that the interpreter's final flush stays quiet."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +218,7 @@ def _cmd_transition(graph, args):
 
 
 def _cmd_harnack(graph, args):
-    W = _int_list(args.set)
-    return {"set": W, "constant": scalar_json(harnack_constant(graph, W))}
+    return {"set": args.set, "constant": scalar_json(harnack_constant(graph, args.set))}
 
 
 def _cmd_superharmonic(graph, args):
@@ -249,7 +264,7 @@ def _cmd_hardy(graph, args):
 
 
 def _cmd_real_sweep(graph, args):
-    table = real_sweep(graph, args.root, args.power, _fraction_list(args.r), args.horizon)
+    table = real_sweep(graph, args.root, args.power, args.r, args.horizon)
     return {"table": table.to_json()}
 
 
@@ -317,12 +332,12 @@ def _build_parser():
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--y", type=int, required=True)
     p.add_argument("--n", type=_natural, required=True)
-    p.add_argument("--restrict", type=int, default=None, help="confine paths to the ball of this radius around x (inclusive index bound on paths)")
+    p.add_argument("--restrict", type=_natural, default=None, help="confine paths to the ball of this radius around x (inclusive index bound on paths)")
     p.add_argument("--series", type=_natural, default=None, help="also sum P^n up to this N")
     p.add_argument("--max-product", action="store_true", help="maximal path product instead of the sum")
 
     p = sub.add_parser("harnack", parents=[common], help="local Harnack constant")
-    p.add_argument("--set", required=True, help="comma-separated vertices, e.g. 0,1,2")
+    p.add_argument("--set", type=_list_of(int), required=True, help="comma-separated vertices, e.g. 0,1,2")
 
     p = sub.add_parser("superharmonic", parents=[common], help="verify or construct")
     p.add_argument("--root", type=int, default=0)
@@ -340,25 +355,27 @@ def _build_parser():
     p = sub.add_parser("real-sweep", parents=[common], help="real capacities of a rational-function graph")
     p.add_argument("--root", type=int, default=0)
     p.add_argument("--power", type=int, default=0, help="report r^(-power) * capacity")
-    p.add_argument("--r", required=True, help="comma-separated rational parameters")
+    p.add_argument("--r", type=_list_of(Fraction), required=True, help="comma-separated rational parameters")
     p.add_argument("--horizon", type=_positive, required=True)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        data = load_spec(args.spec)
-        graph, config = build_graph(data)
-        overrides = {}
-        if args.window is not None:
-            overrides["window"] = args.window
-        if args.max_terms is not None:
-            overrides["max_terms"] = args.max_terms
-        if overrides:
-            config = dataclasses.replace(config, **overrides)
+        try:
+            data = load_spec(args.spec)
+            graph, config = build_graph(data)
+            overrides = {}
+            if args.window is not None:
+                overrides["window"] = args.window
+            if args.max_terms is not None:
+                overrides["max_terms"] = args.max_terms
+            if overrides:
+                config = dataclasses.replace(config, **overrides)
+        except ValueError as err:  # malformed input; past here a ValueError is a bug
+            raise SpecFileError(str(err)) from err
         with precision(config):
             outputs = HANDLERS[args.command](graph, args)
         report = {
@@ -374,18 +391,18 @@ def main(argv=None) -> int:
         audit = _min_guarantee(outputs)
         report["precision_audit"] = {"min_guarantee": guarantee_str(audit)}
         if args.min_guarantee is not None and audit < args.min_guarantee:
-            print(json.dumps(report, indent=2, sort_keys=True))
+            _print_report(json.dumps(report, indent=2, sort_keys=True))
             print(
                 f"precision audit {audit} below required {args.min_guarantee}",
                 file=sys.stderr,
             )
             return EXIT_PRECISION
         if args.human:
-            print("\n".join(_render_human(report)))
+            _print_report("\n".join(_render_human(report)))
         else:
-            print(json.dumps(report, indent=2, sort_keys=True))
+            _print_report(json.dumps(report, indent=2, sort_keys=True))
         return EXIT_OK
-    except (SpecFileError, ValueError) as err:
+    except SpecFileError as err:
         print(f"spec error: {err}", file=sys.stderr)
         return EXIT_SPEC
     except PrecisionError as err:
@@ -394,10 +411,9 @@ def main(argv=None) -> int:
     except PreconditionError as err:
         print(f"precondition failed: {err}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except AssertionError as err:
+    except (AssertionError, ValueError) as err:
         print(f"internal invariant violated: {err}", file=sys.stderr)
         return EXIT_INVARIANT
-
 
 if __name__ == "__main__":
     sys.exit(main())

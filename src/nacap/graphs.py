@@ -483,11 +483,10 @@ class WeightedGraph:
     horizon grows monotonically (append-only caches), which is invisible to
     callers; all public methods are pure."""
 
-    def __init__(self, structure, field, measure=None, label=""):
+    def __init__(self, structure, field, measure=None):
         self._structure = structure
         self.field = field
         self.measure_rule = measure if measure is not None else ConstantMeasure()
-        self.label = label
         self._neighbors: dict = {}
         self._degree: dict = {}
 
@@ -594,7 +593,7 @@ class WeightedGraph:
     # -- derived graphs ---------------------------------------------------------
 
     def with_degree_measure(self) -> "WeightedGraph":
-        return WeightedGraph(self._structure, self.field, DegreeMeasure(), self.label)
+        return WeightedGraph(self._structure, self.field, DegreeMeasure())
 
     def evaluated_at(self, r0) -> "WeightedGraph":
         """For a rational-function graph: the real-weighted graph obtained by
@@ -607,7 +606,7 @@ class WeightedGraph:
         profile = self._structure.profile
         profile = replace(profile, b_plus=_EvaluatedRule(profile.b_plus, r0))
         structure = _LayeredStructure(profile, LCElement)
-        return WeightedGraph(structure, LCElement, ConstantMeasure(), self.label)
+        return WeightedGraph(structure, LCElement, ConstantMeasure())
 
 
 # ---------------------------------------------------------------------------
@@ -621,21 +620,21 @@ def _as_rule(rule):
     return rule
 
 
-def make_path(weight_rule, measure=None, field=LCElement, label="") -> WeightedGraph:
+def make_path(weight_rule, measure=None, field=LCElement) -> WeightedGraph:
     """Path graph on {0, 1, 2, ...} with b(k, k+1) given by the rule and
     measure 1 unless stated otherwise: the profile with unit spheres."""
     profile = SphericalProfile(_as_rule(weight_rule))
-    return WeightedGraph(_LayeredStructure(profile, field), field, measure, label)
+    return WeightedGraph(_LayeredStructure(profile, field), field, measure)
 
 
-def make_spherical(profile: SphericalProfile, measure=None, field=LCElement, label="") -> WeightedGraph:
+def make_spherical(profile: SphericalProfile, measure=None, field=LCElement) -> WeightedGraph:
     """Layered graph realizing a weakly spherically symmetric profile."""
-    return WeightedGraph(_LayeredStructure(profile, field), field, measure, label)
+    return WeightedGraph(_LayeredStructure(profile, field), field, measure)
 
 
-def make_explicit(n: int, edges, measure=None, field=LCElement, label="") -> WeightedGraph:
+def make_explicit(n: int, edges, measure=None, field=LCElement) -> WeightedGraph:
     """Finite graph from an explicit edge list [(x, y, weight), ...]."""
-    graph = WeightedGraph(_ExplicitStructure(n, edges, field), field, measure, label)
+    graph = WeightedGraph(_ExplicitStructure(n, edges, field), field, measure)
     if n < 1 or sum(map(len, graph.spheres(0))) != n:
         raise DisconnectedSetError("explicit graph is not connected")
     return graph

@@ -121,10 +121,10 @@ def construct_superharmonic(graph, o, c, tau, radius=8) -> SuperharmonicConstruc
     if not (tau.sign() > 0 and tau.valuation > 0):
         raise PreconditionError("tau must be a positive infinitesimal")
     tau_inv = tau.inv()
-    power = one
+    powers = [one]  # c^0, c^1, ..., c^(radius+1)
     for n in range(1, radius + 2):
-        power = power * c
-        if not scalars.certainly_positive(tau_inv - power):
+        powers.append(powers[-1] * c)
+        if not scalars.certainly_positive(tau_inv - powers[-1]):
             raise PreconditionError(f"c^{n} is not below 1/tau")
 
     distances = graph.distances_from(o, radius + 1)
@@ -143,15 +143,8 @@ def construct_superharmonic(graph, o, c, tau, radius=8) -> SuperharmonicConstruc
             )
 
     grows = c.compare(one) > 0
-    values = {}
-    for x, d in distances.items():
-        if grows:
-            step = one
-            for _ in range(d):
-                step = step * c
-            values[x] = one - step * tau
-        else:
-            values[x] = one - graph.field.rational(d) * tau
+    steps = powers if grows else [graph.field.rational(d) for d in range(radius + 2)]
+    values = {x: one - steps[d] * tau for x, d in distances.items()}
     for x, v in sorted(values.items()):
         if not scalars.certainly_positive(v):
             raise PreconditionError(f"constructed function not certified positive at {x}")

@@ -159,11 +159,10 @@ def build_graph(data: dict):
     config = parse_precision(data.get("precision"))
     kind = data.get("kind", "path")
     measure = parse_measure(data.get("measure"))
-    label = data.get("description", "")
 
     if kind == "path":
         rule = parse_weight_rule(data.get("weights"))
-        return make_path(rule, measure=measure, field=field, label=label), config
+        return make_path(rule, measure=measure, field=field), config
     if kind == "spherical":
         profile = SphericalProfile(
             b_plus=parse_weight_rule(data.get("weights")),
@@ -172,7 +171,7 @@ def build_graph(data: dict):
                 parse_weight_rule(data["b_minus"]) if "b_minus" in data else None
             ),
         )
-        return make_spherical(profile, measure=measure, field=field, label=label), config
+        return make_spherical(profile, measure=measure, field=field), config
     if kind == "explicit":
         vertices = data.get("vertices")
         edges = data.get("edges")
@@ -184,5 +183,5 @@ def build_graph(data: dict):
                 raise SpecFileError(f"bad edge entry {entry!r}")
             x, y, literal = entry
             parsed.append((int(x), int(y), field.from_literal(str(literal))))
-        return make_explicit(vertices, parsed, measure=measure, field=field, label=label), config
+        return make_explicit(vertices, parsed, measure=measure, field=field), config
     raise SpecFileError(f"unknown graph kind {kind!r}")

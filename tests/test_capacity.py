@@ -1,10 +1,11 @@
 """Capacity sequences, classification certificates, Nash-Williams, bridge."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from nacap.errors import PreconditionError
+from nacap.errors import HorizonExhaustedError, PreconditionError
 from nacap.field import INF, LCElement, precision
 from nacap.ratfunc import RFElement
 from nacap.graphs import (
@@ -12,14 +13,17 @@ from nacap.graphs import (
     ExplicitListRule,
     FactorialMonomialRule,
     HalfPowerRule,
+    ListSize,
     MonomialRule,
     PeriodicRule,
     PowerSize,
     SphericalProfile,
+    WeightedGraph,
     make_explicit,
     make_path,
     make_spherical,
 )
+from nacap.specfile import build_graph, load_spec
 from nacap.capacity import (
     DIVERGENT,
     INCONCLUSIVE,
@@ -33,7 +37,13 @@ from nacap.capacity import (
     real_sweep,
 )
 
-from capacity_reference import path_series_capacity
+from capacity_reference import (
+    path_series_capacity,
+    per_ball_capacity_sequence,
+    per_ball_monotone_compare,
+    per_ball_nash_williams,
+)
+from prop_suites import random_graph
 
 ONE = LCElement.one()
 EPS = LCElement.eps()
@@ -246,3 +256,103 @@ class TestRealSweep:
         )
         with pytest.raises(NonpositiveWeightError):
             real_sweep(graph, 0, 0, [Fraction(3, 4)], 2)
+
+
+def outcome(driver, *args):
+    """A driver's result, or the type and message of what it raised."""
+    try:
+        return driver(*args)
+    except Exception as err:  # the oracle must raise the same way
+        return type(err).__name__, str(err)
+
+
+def finite_path():
+    return make_path(ExplicitListRule(("1", "1*e^(1)", "2")))
+
+
+def finite_spherical():
+    profile = SphericalProfile(ExplicitListRule(("1", "1*e^(1)", "2")), ListSize((1, 2, 3, 2)))
+    return make_spherical(profile)
+
+
+def growing_spheres():
+    return make_spherical(SphericalProfile(MonomialRule(slope=-1), PowerSize(2)))
+
+
+# Horizon at which each fixture's capacity sequence is compared: the cost of
+# eliminating the balls grows fast with the radius (fastest on ex5 and ex7),
+# so each fixture is held to well under a second.
+FIXTURE_CAPACITY_HORIZON = {
+    "ex1": 8, "ex2": 8, "ex3": 12, "ex4": 8, "ex5": 3,
+    "ex6": 12, "ex7": 5, "ex8": 12, "ex9": 12,
+}
+
+
+class TestExhaustionWalk:
+    """The drivers read every ball and boundary from one walk over the
+    spheres; the per-ball references build each ball afresh."""
+
+    def assert_like_per_ball(self, graph, root, N, capacity_horizon=None):
+        """Nash-Williams at every horizon up to N and the capacity sequence
+        at one horizon (N by default): a sequence at a smaller horizon is a
+        prefix of it."""
+        for n in range(1, N + 1):
+            assert outcome(nash_williams, graph, root, n) == outcome(
+                per_ball_nash_williams, graph, root, n
+            )
+        capacity_horizon = capacity_horizon or N
+        assert outcome(capacity_sequence, graph, root, capacity_horizon) == outcome(
+            per_ball_capacity_sequence, graph, root, capacity_horizon
+        )
+
+    @pytest.mark.parametrize("name", sorted(FIXTURE_CAPACITY_HORIZON))
+    @pytest.mark.parametrize("root", (0, 2))
+    def test_fixtures(self, name, root):
+        graph, config = build_graph(load_spec(name))
+        with precision(config):
+            self.assert_like_per_ball(graph, root, 12, FIXTURE_CAPACITY_HORIZON[name])
+
+    def test_random_explicit_graphs(self):
+        rng = random.Random(1501)
+        for _ in range(12):
+            graph = random_graph(rng, max_vertices=5)
+            root = rng.randrange(graph.vertex_count)
+            self.assert_like_per_ball(graph, root, graph.vertex_count + 1)
+
+    @pytest.mark.parametrize("make", (finite_path, finite_spherical))
+    @pytest.mark.parametrize("root", (0, 2))
+    def test_finite_layered_graphs(self, make, root):
+        self.assert_like_per_ball(make(), root, 8)
+
+    def test_growing_spheres(self):
+        self.assert_like_per_ball(growing_spheres(), 0, 4, 3)
+
+    def test_saturation_ends_the_sequence(self):
+        assert len(capacity_sequence(finite_path(), 0, 7).values) == 4
+
+    @pytest.mark.parametrize("N", (10, 40))
+    def test_nash_williams_reads_neighbours_linearly(self, monkeypatch, N):
+        calls = []
+        neighbors = WeightedGraph.neighbors
+
+        def counted(graph, v):
+            calls.append(v)
+            return neighbors(graph, v)
+
+        monkeypatch.setattr(WeightedGraph, "neighbors", counted)
+        nash_williams(unit_path(), 0, N)
+        assert len(calls) <= 2 * N
+
+    def test_monotone_compare_past_saturation(self):
+        lighter = finite_path()
+        heavier = make_path(ExplicitListRule(("2", "1", "2")))
+        orderings = monotone_compare(lighter, heavier, 0, 7)
+        assert orderings == per_ball_monotone_compare(lighter, heavier, 0, 7)
+        assert len(orderings) == 7 and orderings[4:] == [0, 0, 0]
+
+    @pytest.mark.parametrize("root", (-1, 4))
+    def test_root_outside_a_finite_graph_is_refused(self, root):
+        graph = make_explicit(4, [(0, 1, ONE), (1, 2, EPS), (2, 3, ONE)])
+        for driver in (classify_generic, capacity_sequence, nash_williams):
+            with pytest.raises(HorizonExhaustedError, match=f"root vertex {root} outside the graph"):
+                driver(graph, root, 3)

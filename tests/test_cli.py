@@ -260,6 +260,25 @@ class TestDeterminismAndErrors:
         assert f"argument {flag}: must be positive, got {value}" in captured.err
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("real-sweep --spec ex8 --r 1/0 --horizon 3", "argument --r: invalid list: '1/0'"),
+            ("real-sweep --spec ex8 --r 1/2,x --horizon 3", "argument --r: invalid list: '1/2,x'"),
+            ("harnack --spec ex3 --set 0,a", "argument --set: invalid list: '0,a'"),
+            (
+                "transition --spec ex4 --x 0 --y 0 --n 2 --restrict -1",
+                "argument --restrict: must be nonnegative, got -1",
+            ),
+        ],
+    )
+    def test_malformed_option_is_a_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv.split())
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2 and captured.out == ""
+        assert message in captured.err
+
+    @pytest.mark.parametrize(
         "options",
         [(), ("--max-product",), ("--series", "3"), ("--restrict", "2"),
          ("--series", "3", "--restrict", "2"), ("--max-product", "--restrict", "2")],
@@ -447,18 +466,28 @@ class TestInvariantExitCode:
         assert code == cli.EXIT_INVARIANT == 5 and out == ""
         assert err == "internal invariant violated: maximum principle violated at vertex 3\n"
 
+    def test_value_error_in_a_handler_exits_5(self, capsys, monkeypatch):
+        def violated(graph, args):
+            raise ValueError("root 0 not in K")
+
+        monkeypatch.setitem(cli.HANDLERS, "capacity", violated)
+        code, out, err = run(capsys, "capacity", "--spec", "ex1", "--horizon", "2")
+        assert code == 5 and out == ""
+        assert err == "internal invariant violated: root 0 not in K\n"
+
 
 class TestModuleEntryPoint:
     """`python -m nacap` runs the same `main` as the `nacap` script."""
 
-    def run_module(self, *argv):
+    def module_command(self, *argv):
         src = os.path.dirname(os.path.dirname(nacap.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = dict(os.environ, PYTHONPATH=path)
-        return subprocess.run(
-            [sys.executable, "-m", "nacap", *argv],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        return [sys.executable, "-m", "nacap", *argv], env
+
+    def run_module(self, *argv):
+        command, env = self.module_command(*argv)
+        return subprocess.run(command, capture_output=True, text=True, env=env, timeout=120)
 
     def test_report(self):
         done = self.run_module("classify", "--spec", "ex2")
@@ -469,3 +498,16 @@ class TestModuleEntryPoint:
         done = self.run_module("capacity", "--spec", "ex1", "--horizon", "0")
         assert done.returncode == 2 and done.stdout == ""
         assert "argument --horizon: must be positive, got 0" in done.stderr
+
+    def test_reader_closing_the_pipe_early(self):
+        # The report (about 180 kB) is larger than a pipe's buffer, so the
+        # writer is still printing when the reader goes away.
+        command, env = self.module_command("nash-williams", "--spec", "ex1", "--horizon", "6000")
+        process = subprocess.Popen(
+            command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        )
+        head = process.stdout.read(4096)
+        process.stdout.close()
+        _, err = process.communicate(timeout=120)
+        assert process.returncode == 0, err
+        assert head.startswith(b"{") and b"Traceback" not in err
