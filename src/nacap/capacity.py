@@ -51,13 +51,18 @@ def _check_root(graph, a):
 
 
 def capacity_sequence(graph, a, N) -> CapacitySequence:
-    """B_n = S_0 ∪ ... ∪ S_{n-1} grows by one sphere of one walk around a."""
+    """B_n = S_0 ∪ ... ∪ S_{n-1} grows by one sphere of one walk around a.
+    A ball that holds every vertex of a finite graph has no boundary, so
+    its capacity is exactly 0 (every graph here is connected)."""
     _check_root(graph, a)
     values = []
     ball = []
     for sphere in islice(graph.spheres(a), N):
         ball.extend(sphere)
-        values.append(effective_capacity(graph, ball, a))
+        if len(ball) == graph.vertex_count:
+            values.append(graph.field.zero())
+        else:
+            values.append(effective_capacity(graph, ball, a))
     diffs = []
     for small, large in zip(values[1:], values):
         step = large - small

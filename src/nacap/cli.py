@@ -120,13 +120,17 @@ _positive = _int_at_least(1, "positive")
 
 
 def _list_of(parse_item):
-    """An argparse type for a comma-separated list; empty items are skipped."""
+    """An argparse type for a nonempty comma-separated list; empty items are
+    skipped."""
 
     def parse(text):
         try:
-            return [parse_item(part) for part in text.split(",") if part.strip()]
+            items = [parse_item(part) for part in text.split(",") if part.strip()]
+            if items:
+                return items
         except (ValueError, ZeroDivisionError):
-            raise argparse.ArgumentTypeError(f"invalid list: {text!r}") from None
+            pass
+        raise argparse.ArgumentTypeError(f"invalid list: {text!r}")
 
     return parse
 

@@ -80,7 +80,8 @@ def _solve_system(rows, rhs, zero):
     and every Schur complement that elimination leaves are positive definite
     (see the module docstring), so each diagonal pivot is positive and needs
     no search.  A diagonal pivot that is not certified nonzero is zero-like
-    when the precision ran out, or an exact zero when the operator is singular."""
+    when the precision ran out, or an exact zero when the operator is singular.
+    A certified negative pivot contradicts positive definiteness."""
     m = len(rows)
     for i in range(m):
         row = rows[i]
@@ -91,6 +92,8 @@ def _solve_system(rows, rhs, zero):
                     f"pivot {i} not certified nonzero; rerun with a larger window"
                 )
             raise DisconnectedSetError("singular Dirichlet system")
+        if pivot.sign() < 0:
+            raise AssertionError(f"pivot {i} is negative in a positive definite system")
         pivot_inv = pivot.inv()
         for r, entry in row.items():
             if r == i:

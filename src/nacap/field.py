@@ -14,10 +14,10 @@ count; any truncation lowers the guarantee instead of silently pretending
 exactness.  Division x/y, with y = a*e^q*(1+h), computes x/(1+h) one
 coefficient at a time (long division; 1/y is the inverse) and is exact
 below val(x) + geometric_series_depth * val(h) and within the window.
-Short operands take paths of their own with the same results: a one-term
-factor shifts and scales the other factor, an exact-zero addend leaves the
-other addend to the window and term cuts, and a divisor with at most two
-terms divides with a FIFO in place of the heap and coefficient map.
+A sum merges the two sorted term lists, and a quotient merges the
+exponents of the numerator with those its found coefficients reach, for
+operands of any length.  Only a product has a path of its own for short
+operands: a one-term factor shifts and scales the other factor.
 Sign and ordering queries that cannot be certified raise
 IndeterminateComparisonError rather than guessing.
 
@@ -33,7 +33,6 @@ import dataclasses
 import enum
 import heapq
 import math
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -142,90 +141,58 @@ def _quotient_terms(s: "LCElement", h: "LCElement", cfg: PrecisionConfig):
     """Terms and guarantee of s/(1+h) for s of valuation 0 and h of
     positive valuation lam, by long division.
 
-    The coefficients follow c(e) = s(e) - sum_eta h_eta*c(e - eta) in
-    increasing exponent order; the exponents of s are the first candidates,
-    and only a nonzero c(e) makes e + eta one.  They are exact below
-    min(s.guarantee, h.guarantee, (steps+1)*lam), the range a geometric
-    series of ``geometric_series_depth`` terms certifies.  The first nonzero
+    The coefficients follow c(e) = s(e) - sum_j h_j*c(e - eta_j) in
+    increasing exponent order.  They are exact below min(s.guarantee,
+    h.guarantee, (steps+1)*lam), the range a geometric series of
+    ``geometric_series_depth`` terms certifies.  The first nonzero
     coefficient that does not fit, past the window or over ``max_terms``,
     ends the series and its exponent is the guarantee, since the
     coefficients between the window's edge and it are known to vanish.
     Ending at the window's edge, as ``_finalize`` does, can certify less
     than the geometric series did.
 
-    When h has at most one term h_1*e^eta the recurrence is c(e) = s(e) -
-    h_1*c(e - eta), and the exponents it visits are those of s merged with
-    e + eta for each nonzero c(e), which arise in increasing order: a FIFO
-    replaces the heap and the coefficient map."""
+    The next exponent comes from a merge: the exponents of s, and for each
+    term h_j*e^(eta_j) of h a walk over the nonzero coefficients found so
+    far, shifted by eta_j.  A heap holds the next exponent of each walk; a
+    walk that has caught up waits for the next nonzero coefficient.  All
+    walks at an exponent are popped together, so c(e) is complete."""
     bound = min(s.guarantee, h.guarantee)
     if h.terms:
         lam = h.terms[0][0]
         steps = min(cfg.geometric_series_depth - 1, math.ceil(cfg.window / lam) + 1)
         bound = min(bound, (steps + 1) * lam)
-    if len(h.terms) <= 1:
-        return _short_quotient_terms(s, h, bound, cfg)
-    coefficients: dict = {}
+    numerator = [t for t in s.terms if t[0] < bound]
     terms = []
-    pending = [e for e, _ in s.terms if e < bound]
-    queued = set(pending)
-    index = 0  # of the next term of s; exponents pop in increasing order
-    while pending:
-        e = heapq.heappop(pending)
-        c = _Q0
-        if index < len(s.terms) and s.terms[index][0] == e:
-            c = s.terms[index][1]
-            index += 1
-        for eta, h_eta in h.terms:
-            if eta > e:
-                break
-            previous = coefficients.get(e - eta)
-            if previous is not None:
-                c -= h_eta * previous
-        if c == 0:
-            continue
-        if e >= cfg.window or len(terms) == cfg.max_terms:
-            return terms, e
-        coefficients[e] = c
-        terms.append((e, c))
-        for eta, _ in h.terms:
-            successor = e + eta
-            if successor >= bound:
-                break
-            if successor not in queued:
-                queued.add(successor)
-                heapq.heappush(pending, successor)
-    return terms, bound
-
-
-def _short_quotient_terms(s: "LCElement", h: "LCElement", bound, cfg: PrecisionConfig):
-    """``_quotient_terms`` for h with at most one term: the same terms, stops
-    and guarantee."""
-    eta, h_eta = h.terms[0] if h.terms else (None, None)
-    spawned = deque()  # (e + eta, c(e)) for each nonzero c(e), e increasing
-    terms = []
-    index = 0
+    walks = []  # (exponent, j, position): terms[position] shifted by eta_j
+    waiting = list(range(len(h.terms)))  # walks that have caught up
+    index = 0  # of the next term of the numerator
     while True:
-        following = s.terms[index][0] if index < len(s.terms) else INF
-        if following >= bound:
-            following = INF
-        if spawned and spawned[0][0] <= following:
-            e, previous = spawned.popleft()
-            c = -h_eta * previous
-            if e == following:
-                c += s.terms[index][1]
-                index += 1
-        elif following != INF:
-            e, c = s.terms[index]
+        if walks and (index == len(numerator) or walks[0][0] < numerator[index][0]):
+            e, c = walks[0][0], _Q0
+            if e >= bound:  # s is used up and no walk is left below the bound
+                return terms, bound
+        elif index < len(numerator):
+            e, c = numerator[index]
             index += 1
         else:
             return terms, bound
+        while walks and walks[0][0] == e:
+            _, j, position = walks[0]
+            c -= h.terms[j][1] * terms[position][1]
+            position += 1
+            if position == len(terms):
+                heapq.heappop(walks)
+                waiting.append(j)
+            else:
+                heapq.heapreplace(walks, (terms[position][0] + h.terms[j][0], j, position))
         if c == 0:
             continue
         if e >= cfg.window or len(terms) == cfg.max_terms:
             return terms, e
         terms.append((e, c))
-        if eta is not None and e + eta < bound:
-            spawned.append((e + eta, c))
+        for j in waiting:
+            heapq.heappush(walks, (e + h.terms[j][0], j, len(terms) - 1))
+        waiting = []
 
 
 class OrderedFieldElement:
@@ -420,22 +387,25 @@ class LCElement(OrderedFieldElement):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        cfg = active_precision()
-        # An exact zero adds nothing, but the other operand, which may have
-        # been made under a wider precision, still takes the active cuts.
-        if not other.terms and other.guarantee == INF:
-            return _finalize(self.terms, self.guarantee, cfg)
-        if not self.terms and self.guarantee == INF:
-            return _finalize(other.terms, other.guarantee, cfg)
-        acc = dict(self.terms)
-        for exponent, coefficient in other.terms:
-            value = acc.get(exponent, Q(0)) + coefficient
-            if value == 0:
-                acc.pop(exponent, None)
+        x, y = self.terms, other.terms
+        terms = []
+        i = j = 0
+        while i < len(x) and j < len(y):
+            if x[i][0] < y[j][0]:
+                terms.append(x[i])
+                i += 1
+            elif y[j][0] < x[i][0]:
+                terms.append(y[j])
+                j += 1
             else:
-                acc[exponent] = value
-        guarantee = min(self.guarantee, other.guarantee)
-        return _finalize(sorted(acc.items()), guarantee, cfg)
+                value = x[i][1] + y[j][1]
+                if value:
+                    terms.append((x[i][0], value))
+                i += 1
+                j += 1
+        terms.extend(x[i:])
+        terms.extend(y[j:])
+        return _finalize(terms, min(self.guarantee, other.guarantee), active_precision())
 
     __radd__ = __add__
 

@@ -1,6 +1,7 @@
 """Capacity sequences, classification certificates, Nash-Williams, bridge."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from nacap.capacity import (
     INCONCLUSIVE,
     NULL,
     POSITIVE,
+    CapacitySequence,
     capacity_sequence,
     classify_generic,
     classify_spherical,
@@ -301,9 +303,16 @@ class TestExhaustionWalk:
                 per_ball_nash_williams, graph, root, n
             )
         capacity_horizon = capacity_horizon or N
-        assert outcome(capacity_sequence, graph, root, capacity_horizon) == outcome(
-            per_ball_capacity_sequence, graph, root, capacity_horizon
-        )
+        sequence = outcome(capacity_sequence, graph, root, capacity_horizon)
+        reference = outcome(per_ball_capacity_sequence, graph, root, capacity_horizon)
+        if isinstance(reference, CapacitySequence) and graph.is_finite:
+            if len(graph.ball(root, len(reference.values))) == graph.vertex_count:
+                # The saturated ball has no boundary: its capacity is the
+                # exact 0, which elimination finds only below a guarantee.
+                zero = graph.field.zero()
+                assert reference.values[-1].indistinguishable(zero)
+                reference = replace(reference, values=reference.values[:-1] + (zero,))
+        assert sequence == reference
 
     @pytest.mark.parametrize("name", sorted(FIXTURE_CAPACITY_HORIZON))
     @pytest.mark.parametrize("root", (0, 2))

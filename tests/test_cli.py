@@ -4,6 +4,7 @@ import argparse
 import importlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -265,6 +266,9 @@ class TestDeterminismAndErrors:
             ("real-sweep --spec ex8 --r 1/0 --horizon 3", "argument --r: invalid list: '1/0'"),
             ("real-sweep --spec ex8 --r 1/2,x --horizon 3", "argument --r: invalid list: '1/2,x'"),
             ("harnack --spec ex3 --set 0,a", "argument --set: invalid list: '0,a'"),
+            ("harnack --spec ex3 --set ''", "argument --set: invalid list: ''"),
+            ("harnack --spec ex3 --set ,", "argument --set: invalid list: ','"),
+            ("real-sweep --spec ex8 --r '' --horizon 3", "argument --r: invalid list: ''"),
             (
                 "transition --spec ex4 --x 0 --y 0 --n 2 --restrict -1",
                 "argument --restrict: must be nonnegative, got -1",
@@ -273,7 +277,7 @@ class TestDeterminismAndErrors:
     )
     def test_malformed_option_is_a_usage_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exit_info:
-            main(argv.split())
+            main(shlex.split(argv))
         captured = capsys.readouterr()
         assert exit_info.value.code == 2 and captured.out == ""
         assert message in captured.err

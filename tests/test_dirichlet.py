@@ -253,6 +253,10 @@ class TestSolveSystem:
         with pytest.raises(error):
             _solve_system(rows, [ONE, ONE], LCElement.zero())
 
+    def test_negative_pivot_is_a_violated_invariant(self):
+        with pytest.raises(AssertionError, match="pivot 0 is negative"):
+            _solve_system([{0: -ONE}], [ONE], LCElement.zero())
+
     def test_zero_like_entry_is_eliminated(self):
         # [[1, z], [z, 1]] with z zero-like: both unknowns are 1, and only
         # within z's guarantee.

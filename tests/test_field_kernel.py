@@ -2,11 +2,11 @@
 division kernels against the reference forms in ``field_reference.py``.
 
 Addition, multiplication and the long division by 1 + h must return exactly
-the reference element, also on the short operands that take their own
-paths: one-term factors, exact-zero addends and divisors with at most two
-terms.  Inversion and division may certify more than the reference: their
-terms must agree below the reference guarantee, and their guarantee must be
-at least the reference one.
+the reference element, on long operands and on short ones: one-term factors,
+which take a path of their own in multiplication, exact-zero addends and
+divisors of one or two terms.  Inversion and division may certify more than
+the reference: their terms must agree below the reference guarantee, and
+their guarantee must be at least the reference one.
 """
 
 import random
@@ -74,15 +74,24 @@ def short_element(rng):
     return LCElement(tuple(terms), guarantee)
 
 
-def check_case(rng):
+def reference_long_division(x, y, monkeypatch):
+    """x / y with the reference long division by 1 + h."""
+    with monkeypatch.context() as patched:
+        patched.setattr(field, "_quotient_terms", reference_quotient_terms)
+        return x / y
+
+
+def check_case(rng, monkeypatch):
     cfg = random_config(rng)
     x, y = random_element(rng), random_element(rng)
     with precision(cfg):
         assert x * y == reference_mul(x, y)
+        assert x + y == reference_add(x, y)
         new_inv = y.inv()
         assert_refines(new_inv, reference_inv(y))
         quotient = x / y
         assert_refines(quotient, reference_div(x, y))
+        assert quotient == reference_long_division(x, y, monkeypatch)
         # Nothing of x is known from its guarantee on, so nothing of x/y
         # from x.guarantee - val(y) on.
         assert quotient.guarantee <= x.guarantee - y.valuation
@@ -97,10 +106,10 @@ def check_case(rng):
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_kernels_match_reference(seed):
+def test_kernels_match_reference(seed, monkeypatch):
     rng = random.Random(seed)
     for _ in range(250):
-        check_case(rng)
+        check_case(rng, monkeypatch)
 
 
 def check_short_case(rng, monkeypatch):
@@ -113,10 +122,7 @@ def check_short_case(rng, monkeypatch):
             assert x + y == reference_add(x, y)
             if not x.terms or not y.terms:
                 continue
-            quotient = x / y
-            with monkeypatch.context() as patched:
-                patched.setattr(field, "_quotient_terms", reference_quotient_terms)
-                assert quotient == x / y
+            assert x / y == reference_long_division(x, y, monkeypatch)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -268,6 +274,11 @@ class TestShortOperands:
             # (1 + e)/(1 + e) = 1: s's exponent 1 meets the spawned 0 + 1.
             # The geometric series of 33 steps certifies it below e^34.
             ([(0, 1), (1, 1)], [(1, 1)], {}, ([(0, 1)], 34)),
+            # 1/(1 + e + e^2) = (1 - e)/(1 - e^3): the walks of e and e^2
+            # meet at e^2 and cancel; e^6 is the first term past the window.
+            ([(0, 1)], [(1, 1), (2, 1)], dict(window=6), ([(0, 1), (1, -1), (3, 1), (4, -1)], 6)),
+            # (1 + e + e^2)/(1 + e + e^2) = 1: both walks meet s at e and e^2.
+            ([(0, 1), (1, 1), (2, 1)], [(1, 1), (2, 1)], {}, ([(0, 1)], 34)),
         ],
     )
     def test_long_division_by_a_short_divisor(self, s, h, config, expected):
