@@ -17,10 +17,17 @@ from typing import Optional, Tuple
 
 from . import scalars
 from .dirichlet import effective_capacity
-from .errors import HorizonExhaustedError, PrecisionExhaustedError, PreconditionError
+from .errors import (
+    HorizonExhaustedError,
+    NonpositiveWeightError,
+    PrecisionExhaustedError,
+    PreconditionError,
+    SpecFileError,
+)
 from .exact import Q
 from .field import INF, active_precision, guarantee_str, scalar_json
 from .graphs import Trend
+from .ratfunc import RFElement
 
 NULL = "null"
 POSITIVE = "positive"
@@ -448,22 +455,34 @@ class RealSweepTable:
 
 def real_sweep(graph, a, n_power, r_values, N) -> RealSweepTable:
     """Classical (real) finite-horizon capacities of a rational-function
-    graph at rational parameter values: exact elimination at each r over
-    the graph's weights as exact series constants, whose standard part is
-    the rational capacity, reported alongside r^(-n_power) * capacity.
+    graph at rational parameter values r > 0, alongside r^(-n_power) *
+    capacity: the ball is eliminated once, over Q(r), and its capacity
+    cap_N evaluated at each r.  Evaluation at r0 is a ring homomorphism on
+    the functions without a pole at r0.  By the matrix-tree theorem cap_N
+    is a ratio of spanning-forest sums of weight products.  When every
+    weight incident to the ball is positive at r0, the denominator, a sum
+    of forest products of those weights, does not vanish there, and
+    cap_N(r0) is the real capacity.
 
     For graphs with null capacity over the series field, the scaled column
     tends to zero as r -> 0+, but it need not be monotone in r.  On ex8
     (b(k, k+1) = k! r^k) the capacity tends to e^(-1/r) as N grows, so
     r^(-n_power) * capacity rises as r falls to 1/n_power and falls below
     it."""
-    rows = []
+    r_values = [Q(r) for r in r_values]
     for r in r_values:
-        r = Q(r)
         if r <= 0:
             raise PreconditionError(f"sweep parameter r = {r} must be positive")
-        real_graph = graph.evaluated_at(r)
-        cap = effective_capacity(real_graph, real_graph.ball(a, N), a).standard_part()
-        rows.append(RealSweepRow(r, cap, cap / r**n_power))
+    if graph.field is not RFElement:
+        raise SpecFileError("evaluated_at applies to rational-function graphs")
+    ball = graph.ball(a, N)
+    cap = effective_capacity(graph, ball, a)
+    edges = {(min(x, y), max(x, y)): w for x in ball for y, w in graph.neighbors(x).items()}
+    rows = []
+    for r in r_values:
+        for (x, y), w in edges.items():
+            if (at_r := w.eval_at(r)) <= 0:
+                raise NonpositiveWeightError(f"weight of edge ({x},{y}) is {at_r} <= 0 at r = {r}")
+        value = cap.eval_at(r)
+        rows.append(RealSweepRow(r, value, value / r**n_power))
     return RealSweepTable(a, N, n_power, tuple(rows))
-

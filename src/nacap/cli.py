@@ -119,18 +119,20 @@ _natural = _int_at_least(0, "nonnegative")
 _positive = _int_at_least(1, "positive")
 
 
-def _list_of(parse_item):
+def _list_of(parse_item, distinct=False):
     """An argparse type for a nonempty comma-separated list; empty items are
-    skipped."""
+    skipped.  With `distinct`, a repeated item is refused."""
 
     def parse(text):
         try:
             items = [parse_item(part) for part in text.split(",") if part.strip()]
-            if items:
-                return items
         except (ValueError, ZeroDivisionError):
-            pass
-        raise argparse.ArgumentTypeError(f"invalid list: {text!r}")
+            items = []
+        if not items:
+            raise argparse.ArgumentTypeError(f"invalid list: {text!r}")
+        if distinct and len(set(items)) < len(items):
+            raise argparse.ArgumentTypeError(f"repeated value in list: {text!r}")
+        return items
 
     return parse
 
@@ -341,7 +343,7 @@ def _build_parser():
     p.add_argument("--max-product", action="store_true", help="maximal path product instead of the sum")
 
     p = sub.add_parser("harnack", parents=[common], help="local Harnack constant")
-    p.add_argument("--set", type=_list_of(int), required=True, help="comma-separated vertices, e.g. 0,1,2")
+    p.add_argument("--set", type=_list_of(int, distinct=True), required=True, help="comma-separated vertices, e.g. 0,1,2")
 
     p = sub.add_parser("superharmonic", parents=[common], help="verify or construct")
     p.add_argument("--root", type=int, default=0)

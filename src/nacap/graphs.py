@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable, Optional, Tuple
 
@@ -249,10 +249,6 @@ class CallableRule:
         return {"rule": "callable"}
 
 
-def rule_edge_count(rule) -> Optional[int]:
-    return getattr(rule, "edge_count", None)
-
-
 # -- sphere size rules -------------------------------------------------------
 
 
@@ -342,31 +338,6 @@ class DegreeMeasure:
 # ---------------------------------------------------------------------------
 
 
-class _EvaluatedRule:
-    """A rational-function rule evaluated at a rational point r0 > 0; its
-    values are exact constants of the field it is asked for.  It ends where
-    the base rule ends."""
-
-    def __init__(self, base, r0):
-        self.base = base
-        self.r0 = Q(r0)
-        self.edge_count = rule_edge_count(base)
-
-    def value(self, k: int, field):
-        w = self.base.value(k, RFElement).eval_at(self.r0)
-        if w <= 0:
-            raise NonpositiveWeightError(
-                f"weight at index {k} evaluates to {w} <= 0 at r = {self.r0}"
-            )
-        return field.rational(w)
-
-    def trend(self, field) -> Trend:
-        return Trend(Trend.UNKNOWN)
-
-    def to_json(self):
-        return {"rule": "evaluated", "r": str(self.r0), "base": self.base.to_json()}
-
-
 class _LayeredStructure:
     """Layered realization of a weakly spherically symmetric profile:
     consecutive spheres are joined completely with a uniform edge weight, so
@@ -379,7 +350,7 @@ class _LayeredStructure:
             raise IncompatibleProfileError("sphere 0 must contain exactly the root")
         self.profile = profile
         self.field = field
-        self.last_level = rule_edge_count(profile.b_plus)  # None: no last sphere
+        self.last_level = getattr(profile.b_plus, "edge_count", None)  # None: no last sphere
         self._starts = [0, 1]  # vertex index where each level starts
         self._level_weights: dict = {}
 
@@ -594,19 +565,6 @@ class WeightedGraph:
 
     def with_degree_measure(self) -> "WeightedGraph":
         return WeightedGraph(self._structure, self.field, DegreeMeasure())
-
-    def evaluated_at(self, r0) -> "WeightedGraph":
-        """For a rational-function graph: the real-weighted graph obtained by
-        substituting r = r0.  Its weights are exact series constants, so
-        its arithmetic is exact rational arithmetic."""
-        if self.field is not RFElement:
-            raise SpecFileError("evaluated_at applies to rational-function graphs")
-        if not self.is_path:
-            raise SpecFileError("real evaluation is implemented for path graphs")
-        profile = self._structure.profile
-        profile = replace(profile, b_plus=_EvaluatedRule(profile.b_plus, r0))
-        structure = _LayeredStructure(profile, LCElement)
-        return WeightedGraph(structure, LCElement, ConstantMeasure())
 
 
 # ---------------------------------------------------------------------------

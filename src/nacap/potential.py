@@ -86,10 +86,10 @@ def is_superharmonic(graph, u, W) -> SuperharmonicReport:
     return SuperharmonicReport(witness is None, witness, values)
 
 
-def sphere_weight_split(graph, o, x, distances):
-    """(b_minus(x), b_plus(x)) relative to the root o: the weight going to
-    the previous and to the next sphere.  `distances` maps vertices to their
-    distance from o and must reach one sphere beyond x."""
+def sphere_weight_split(graph, x, distances):
+    """(b_minus(x), b_plus(x)): the weight going to the previous and to the
+    next sphere around a root.  `distances` maps vertices to their distance
+    from that root and must reach one sphere beyond x."""
     level = distances[x]
     minus = graph.field.zero()
     plus = graph.field.zero()
@@ -131,7 +131,7 @@ def construct_superharmonic(graph, o, c, tau, radius=8) -> SuperharmonicConstruc
     for x in sorted(distances):
         if distances[x] > radius:
             continue
-        minus, plus = sphere_weight_split(graph, o, x, distances)
+        minus, plus = sphere_weight_split(graph, x, distances)
         if x == o:
             continue
         if not scalars.certainly_positive(plus):
@@ -241,10 +241,9 @@ def ground_state_transform_check(graph, u, phi: Mapping) -> TransformCheck:
 class HardyWeight:
     """Nonnegative nontrivial weight with Q(phi) >= sum phi^2 omega.
 
-    provenance: "point_mass" (capacity limit at one vertex),
+    provenance: "point_mass" (capacity limit at one vertex) or
     "spherical_lower_bounds" (derived per-vertex capacity lower bounds on a
-    path, whose edge weights are the profile's b_plus values), or
-    "user_supplied"."""
+    path, whose edge weights are the profile's b_plus values)."""
 
     weights: Mapping
     provenance: str
@@ -276,17 +275,15 @@ def energy_difference_bound(graph, x, y):
     return graph.field.rational(2 * n) * minimum.inv()
 
 
-def hardy_construct(
-    graph, verdict: CapacityVerdict, lower_bounds: Optional[Mapping] = None, horizon: int = 16
-) -> HardyWeight:
+def hardy_construct(graph, verdict: CapacityVerdict, horizon: int = 16) -> HardyWeight:
     """Build a Hardy weight from a capacity verdict.
 
     Positive capacity: the point mass cap(a) at the verdict root, which is
     the largest possible value of a Hardy weight there.  Otherwise per-vertex
-    positive lower bounds m_x on cap_n(x) (supplied by the caller, or derived
-    on paths from a certified edge lower bound) are damped by the
-    summable sequence 2^-(i+1) along the vertex enumeration.  Null capacity
-    admits no Hardy weight, so construction refuses."""
+    positive lower bounds m_x on cap_n(x), derived on paths from a certified
+    edge lower bound, are damped by the summable sequence 2^-(i+1) along the
+    vertex enumeration.  Null capacity admits no Hardy weight, so
+    construction refuses."""
     if verdict.kind == POSITIVE:
         if verdict.limit is None or verdict.root is None:
             raise HardyConstructionError("positive verdict lacks a limit or root")
@@ -295,15 +292,6 @@ def hardy_construct(
             "point_mass",
             {"root": verdict.root},
         )
-
-    if lower_bounds is not None:
-        weights = {}
-        for i, x in enumerate(sorted(lower_bounds)):
-            bound = lower_bounds[x]
-            if not scalars.certainly_positive(bound):
-                raise HardyConstructionError(f"lower bound at vertex {x} not positive")
-            weights[x] = bound * graph.field.rational(Q(1, 2 ** (i + 1)))
-        return HardyWeight(weights, "user_supplied", {"vertices": len(weights)})
 
     if verdict.kind == DIVERGENT and isinstance(
         verdict.certificate, SphericalFormulaCertificate

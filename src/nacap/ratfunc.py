@@ -135,10 +135,11 @@ def pgcd(a: Poly, b: Poly) -> Poly:
 
 
 def peval(a: Poly, r0) -> Fraction:
-    acc = Q(0)
+    """a(r0) for r0 = p/q: Horner's rule over the integers on q^deg * a(p/q)."""
+    acc, scale = 0, 1
     for c in reversed(a):
-        acc = acc * r0 + c
-    return acc
+        acc, scale = acc * r0.numerator + c * scale, scale * r0.denominator
+    return Q(acc * r0.denominator, scale)
 
 
 def _lowest(a: Poly) -> tuple[int, int]:

@@ -10,6 +10,7 @@ rational-function field).
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from importlib import resources
 
 from .errors import SpecFileError
@@ -129,23 +130,24 @@ def parse_measure(data):
     raise SpecFileError("measure must be 'degree', a literal list or a const rule")
 
 
+# Readers of a spec's precision keys; a key left out keeps its default.
+_PRECISION_READERS = {
+    "window": lambda value: Fraction(str(value)),
+    "max_terms": int,
+    "geometric_series_depth": int,
+}
+
+
 def parse_precision(data) -> PrecisionConfig:
-    if data is None:
-        return PrecisionConfig()
+    data = {} if data is None else data
+    if not isinstance(data, dict):
+        raise SpecFileError("precision must be an object")
     try:
         return PrecisionConfig(
-            window=_as_fraction(data.get("window", 32)),
-            max_terms=int(data.get("max_terms", 256)),
-            geometric_series_depth=int(data.get("geometric_series_depth", 64)),
+            **{key: read(data[key]) for key, read in _PRECISION_READERS.items() if key in data}
         )
-    except ValueError as err:
+    except (TypeError, ValueError) as err:
         raise SpecFileError(f"bad precision config: {err}") from None
-
-
-def _as_fraction(value):
-    from fractions import Fraction
-
-    return Fraction(str(value))
 
 
 def build_graph(data: dict):

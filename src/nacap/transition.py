@@ -423,8 +423,11 @@ class InverseCheckReport:
         }
 
 
+INVERSE_CHECK_MAX_TERMS = 400  # series terms summed before the check gives up
+
+
 def neumann_inverse_check(
-    ctx: TransitionContext, K, phi: dict, target_valuation=2, max_N=400
+    ctx: TransitionContext, K, phi: dict, target_valuation=2
 ) -> InverseCheckReport:
     """Verify sum_n P_K^n phi = (Dirichlet Laplacian on K)^{-1} phi.
 
@@ -444,7 +447,7 @@ def neumann_inverse_check(
     f = {v: phi[v] for v in K if v in phi}
     total = dict(f)
     n = 0
-    while n < max_N:
+    while n < INVERSE_CHECK_MAX_TERMS:
         n += 1
         f = _apply(ctx, f, members)
         for v, value in f.items():

@@ -7,14 +7,22 @@ the library's elimination against it.
 
 The per-ball drivers below are the direct definitions of the capacity
 sequence, the Nash-Williams boundaries and the monotonicity comparison.
+The per-r real sweep eliminates the ball afresh over the reals at each r.
 """
 
 from nacap import scalars
-from nacap.capacity import CapacitySequence, NashWilliamsCertificate
+from nacap.capacity import (
+    CapacitySequence,
+    NashWilliamsCertificate,
+    RealSweepRow,
+    RealSweepTable,
+)
 from nacap.dirichlet import effective_capacity
 from nacap.errors import PreconditionError
-from nacap.field import INF
-from nacap.graphs import Trend
+from nacap.exact import Q
+from nacap.field import INF, LCElement
+from nacap.graphs import SphericalProfile, Trend, make_explicit, make_spherical
+from nacap.ratfunc import RFElement
 
 
 def path_series_capacity(graph, a, n):
@@ -102,3 +110,45 @@ def per_ball_monotone_compare(graph, graph_prime, a, N):
             raise AssertionError(f"monotonicity law violated at radius {n}")
         orderings.append(-1 if scalars.certainly_positive(-diff) else 0)
     return orderings
+
+
+class _EvaluatedRule:
+    """A Q(r) weight rule evaluated at r0: its values are exact constants of
+    the field asked for, and it ends where the base rule ends."""
+
+    def __init__(self, base, r0):
+        self.base = base
+        self.r0 = r0
+        self.edge_count = getattr(base, "edge_count", None)
+
+    def value(self, k, field):
+        return field.rational(self.base.value(k, RFElement).eval_at(self.r0))
+
+
+def evaluated_graph(graph, r0):
+    """The Levi-Civita graph of a Q(r) graph's weights evaluated at r0, with
+    the same vertices; a weight that is not positive at r0 is refused as it
+    is built (NonpositiveWeightError)."""
+    if graph.weight_rule is not None:
+        profile = SphericalProfile(_EvaluatedRule(graph.weight_rule, r0), graph.sphere_sizes)
+        return make_spherical(profile)
+    n = graph.vertex_count
+    edges = [
+        (x, y, LCElement.rational(w.eval_at(r0)))
+        for x in range(n)
+        for y, w in graph.neighbors(x).items()
+        if x < y
+    ]
+    return make_explicit(n, edges)
+
+
+def per_r_real_sweep(graph, a, n_power, r_values, N):
+    """real_sweep of a Q(r) graph at values r > 0 with one elimination per
+    r: the capacity of B_N in the graph evaluated at r, whose standard part
+    is the real capacity."""
+    rows = []
+    for r in map(Q, r_values):
+        real = evaluated_graph(graph, r)
+        cap = effective_capacity(real, real.ball(a, N), a).standard_part()
+        rows.append(RealSweepRow(r, cap, cap / r**n_power))
+    return RealSweepTable(a, N, n_power, tuple(rows))

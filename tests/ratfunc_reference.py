@@ -3,7 +3,7 @@
 These are the straightforward forms the library's arithmetic must agree
 with, on polynomials with rational coefficients and with nothing taken from
 the library but the element class: the gcd is Euclid's algorithm over Q[r]
-made monic, and every sum, product and inverse forms the full cross
+made monic, evaluation is Horner's rule over Q, and every sum, product and inverse forms the full cross
 quotient and normalises it from scratch with that gcd.  The normalised
 quotient, with its denominator's lowest coefficient 1, is then rescaled to the
 library's integer normal form.  The differential tests in
@@ -26,6 +26,14 @@ def poly(coeffs):
 def padd(a, b):
     n = max(len(a), len(b))
     return poly((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n))
+
+
+def peval(a, r0):
+    """a(r0) by Horner's rule in rational arithmetic."""
+    acc = Q(0)
+    for c in reversed(a):
+        acc = acc * r0 + c
+    return acc
 
 
 def pmul(a, b):

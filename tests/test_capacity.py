@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from nacap.errors import HorizonExhaustedError, PreconditionError
+from nacap import dirichlet
+from nacap.errors import HorizonExhaustedError, PreconditionError, SpecFileError
 from nacap.field import INF, LCElement, precision
 from nacap.ratfunc import RFElement
 from nacap.graphs import (
@@ -44,6 +45,7 @@ from capacity_reference import (
     per_ball_capacity_sequence,
     per_ball_monotone_compare,
     per_ball_nash_williams,
+    per_r_real_sweep,
 )
 from prop_suites import random_graph
 
@@ -228,6 +230,39 @@ class TestMonotoneCompare:
             monotone_compare(unit_path(), make_path(PeriodicRule(("1*e^(1)",))), 0, 4)
 
 
+SWEEP_R_LISTS = (
+    [Fraction(1, 2)],
+    [Fraction(1, 3)],
+    [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)],
+    [Fraction(3, 2), Fraction(5)],
+)
+
+
+# Rational-function graphs other than the bundled paths: a finite path, the
+# growing spheres of b_plus(k) = k! r^k with 2^k vertices at level k, and an
+# explicit graph with a cycle.
+def rf_finite_path():
+    return make_path(ExplicitListRule(("1 + 1*e^(1)", "2", "1*e^(2)")), field=RFElement)
+
+
+def rf_growing_spheres():
+    profile = SphericalProfile(FactorialMonomialRule(), PowerSize(2))
+    return make_spherical(profile, field=RFElement)
+
+
+def rf_explicit():
+    edges = (
+        (0, 1, "1 + 1*e^(1)"),
+        (1, 2, "2*e^(-1)"),
+        (2, 0, "1*e^(2)"),
+        (2, 3, "3"),
+        (3, 4, "1 + 2*e^(1)"),
+    )
+    return make_explicit(
+        5, [(x, y, RFElement.from_literal(w)) for x, y, w in edges], field=RFElement
+    )
+
+
 class TestRealSweep:
     def test_factorial_weights_partial_sums(self):
         # b_r(k, k+1) = k! r^k: cap_{N,r}(0) = (sum_{k<N} r^-k / k!)^{-1}.
@@ -256,8 +291,61 @@ class TestRealSweep:
             ExplicitListRule(("1 - 2*e^(1)",), tail=MonomialRule()),
             field=RFElement,
         )
-        with pytest.raises(NonpositiveWeightError):
+        with pytest.raises(NonpositiveWeightError, match=r"edge \(0,1\) is -1/2 <= 0 at r = 3/4"):
             real_sweep(graph, 0, 0, [Fraction(3, 4)], 2)
+
+    def test_refusals_come_in_order(self):
+        # Every r is checked first, then the field, then the root.
+        series_path = make_path(MonomialRule())
+        with pytest.raises(PreconditionError, match="r = -1 must be positive"):
+            real_sweep(series_path, 9, 0, [Fraction(1, 2), -1], 3)
+        with pytest.raises(SpecFileError, match="applies to rational-function graphs"):
+            real_sweep(series_path, 9, 0, [Fraction(1, 2)], 3)
+        with pytest.raises(HorizonExhaustedError, match="root vertex 9 outside the graph"):
+            real_sweep(rf_finite_path(), 9, 0, [Fraction(1, 2)], 3)
+
+    @pytest.mark.parametrize("name", ["ex8", "ex9"])
+    @pytest.mark.parametrize("root", [0, 2])
+    def test_one_solve_agrees_with_an_elimination_per_r_on_the_fixtures(self, name, root):
+        graph, _ = build_graph(load_spec(name))
+        for N in range(1, 13):
+            for r_values in SWEEP_R_LISTS:
+                assert real_sweep(graph, root, 3, r_values, N) == per_r_real_sweep(
+                    graph, root, 3, r_values, N
+                )
+
+    @pytest.mark.parametrize(
+        "make_graph, root, max_horizon",
+        [
+            (rf_finite_path, 0, 6),
+            (rf_finite_path, 3, 6),
+            (rf_growing_spheres, 0, 4),
+            (rf_explicit, 0, 5),
+            (rf_explicit, 4, 5),
+        ],
+        ids=["path-0", "path-3", "spheres", "explicit-0", "explicit-4"],
+    )
+    def test_one_solve_agrees_with_an_elimination_per_r(self, make_graph, root, max_horizon):
+        graph = make_graph()
+        for N in range(1, max_horizon + 1):
+            for r_values in SWEEP_R_LISTS:
+                assert real_sweep(graph, root, 0, r_values, N) == per_r_real_sweep(
+                    graph, root, 0, r_values, N
+                )
+
+    def test_a_sweep_eliminates_the_ball_once(self, monkeypatch):
+        solves = []
+        solve_system = dirichlet._solve_system
+
+        def counted(*args):
+            solves.append(args)
+            return solve_system(*args)
+
+        monkeypatch.setattr(dirichlet, "_solve_system", counted)
+        graph, _ = build_graph(load_spec("ex8"))
+        table = real_sweep(graph, 0, 3, [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)], 6)
+        assert len(table.rows) == 3 and len(solves) == 1
+
 
 
 def outcome(driver, *args):

@@ -7,13 +7,16 @@ import os
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import nacap
 from nacap import cli
 from nacap.cli import main
-from nacap.specfile import load_spec
+from nacap.specfile import build_graph, load_spec
+
+from capacity_reference import per_r_real_sweep
 
 
 def run(capsys, *argv):
@@ -134,6 +137,35 @@ class TestCommands:
         rows = report["outputs"]["table"]["rows"]
         assert rows[0]["r"] == "1/2"
         assert abs(rows[0]["capacity_float"] - 0.1353353) < 1e-4
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {
+                "field": "rational-function",
+                "kind": "spherical",
+                "weights": {"rule": "factorial_eps"},
+                "sphere_sizes": {"rule": "pow", "base": 2},
+            },
+            {
+                "field": "rational-function",
+                "kind": "explicit",
+                "vertices": 4,
+                "edges": [[0, 1, "1 + 1*e^(1)"], [1, 2, "2*e^(-1)"], [2, 0, "3"], [2, 3, "1*e^(2)"]],
+            },
+        ],
+        ids=["spherical", "explicit"],
+    )
+    def test_real_sweep_reports_graphs_that_are_not_paths(self, capsys, tmp_path, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        report = run_json(
+            capsys, "real-sweep", "--spec", str(path),
+            "--power", "1", "--r", "1/2,1/3", "--horizon", "3",
+        )
+        graph, _ = build_graph(spec)
+        expected = per_r_real_sweep(graph, 0, 1, [Fraction(1, 2), Fraction(1, 3)], 3)
+        assert report["outputs"]["table"] == expected.to_json()
 
     @pytest.mark.parametrize("horizon, capacity", [(3, "6/31"), (4, "0"), (6, "0")])
     def test_real_sweep_stops_at_the_end_of_a_finite_path(
@@ -273,6 +305,7 @@ class TestDeterminismAndErrors:
                 "transition --spec ex4 --x 0 --y 0 --n 2 --restrict -1",
                 "argument --restrict: must be nonnegative, got -1",
             ),
+            ("harnack --spec ex3 --set 0,0", "argument --set: repeated value in list: '0,0'"),
         ],
     )
     def test_malformed_option_is_a_usage_error(self, capsys, argv, message):

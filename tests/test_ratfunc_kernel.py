@@ -13,6 +13,7 @@ from math import gcd, lcm
 import pytest
 
 from ratfunc_reference import (
+    peval,
     pmul,
     poly,
     reference_add,
@@ -22,6 +23,7 @@ from ratfunc_reference import (
     reference_pgcd,
     reference_sub,
 )
+from nacap import ratfunc
 from nacap.ratfunc import RFElement, pgcd
 
 
@@ -144,6 +146,16 @@ def test_results_are_in_normal_form(seed):
     normal form that is canonical but wrong could pass the comparison."""
     for got, _ in seeded_cases(seed):
         assert_normal(got)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_evaluation_matches_reference(seed):
+    rng = random.Random(seed)
+    for _ in range(200):
+        x = rf(random_poly(rng, nonzero=False), random_poly(rng))
+        r0 = Fraction(rng.randint(-20, 20), rng.randint(1, 20))
+        for a in (x.num, x.den):
+            assert ratfunc.peval(a, r0) == peval(a, r0)
 
 
 def rf(num, den=(1,)):

@@ -155,14 +155,6 @@ class TestRationalFunctionExponents:
 class TestRealEvaluation:
     GRAPH = make_path(FactorialMonomialRule(), field=RFElement)
 
-    def test_evaluated_weights_are_exact_series_constants(self):
-        real = self.GRAPH.evaluated_at(Fraction(1, 2))
-        assert real.field is LCElement
-        for k in range(4):
-            w = real.weight(k, k + 1)
-            assert w.guarantee == INF and w.valuation == 0
-            assert w.standard_part() == self.GRAPH.weight(k, k + 1).eval_at(Fraction(1, 2))
-
     def test_real_sweep_capacities_are_fractions(self):
         table = real_sweep(self.GRAPH, 0, 1, [Fraction(1, 2), Fraction(1, 3)], 4)
         for row in table.rows:

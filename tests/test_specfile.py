@@ -1,11 +1,12 @@
 """Spec file parsing: kinds, rules, measures, precision, failure modes."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from nacap.errors import SpecFileError
-from nacap.field import LCElement
+from nacap.field import LCElement, PrecisionConfig
 from nacap.specfile import build_graph, load_spec
 
 
@@ -61,6 +62,23 @@ class TestKinds:
         )
         assert config.window == 8 and config.max_terms == 32
 
+    @pytest.mark.parametrize(
+        "block, expected",
+        [
+            (None, PrecisionConfig(window=32, max_terms=256, geometric_series_depth=64)),
+            ({}, PrecisionConfig(window=32, max_terms=256, geometric_series_depth=64)),
+            ({"window": "1/2", "geometric_series_depth": "8"},
+             PrecisionConfig(window=Fraction(1, 2), max_terms=256, geometric_series_depth=8)),
+            ({"window": 0.5, "max_terms": "16"},
+             PrecisionConfig(window=Fraction(1, 2), max_terms=16, geometric_series_depth=64)),
+        ],
+    )
+    def test_precision_keys_left_out_keep_the_defaults(self, tmp_path, block, expected):
+        data = {"kind": "path", "weights": {"rule": "const"}}
+        if block is not None:
+            data["precision"] = block
+        assert build(tmp_path, data)[1] == expected
+
 
 class TestErrors:
     def test_unknown_rule(self, tmp_path):
@@ -74,6 +92,11 @@ class TestErrors:
     def test_unknown_kind(self, tmp_path):
         with pytest.raises(SpecFileError):
             build(tmp_path, {"kind": "hypercube", "weights": ["1"]})
+
+    @pytest.mark.parametrize("block", [5, ["window"], {"max_terms": None}, {"window": "x"}])
+    def test_malformed_precision_block(self, tmp_path, block):
+        with pytest.raises(SpecFileError):
+            build(tmp_path, {"kind": "path", "weights": {"rule": "const"}, "precision": block})
 
     def test_explicit_needs_edges(self, tmp_path):
         with pytest.raises(SpecFileError):

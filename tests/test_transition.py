@@ -1,5 +1,6 @@
 """Transition operator: exact powers, max-path products, Neumann series."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, islice, product as iproduct
@@ -278,8 +279,8 @@ class TestDecayCertificates:
         graph = make_path(FactorialMonomialRule(), field=RFElement)
         cert = nonvanishing_certificate(TransitionContext(graph), 0, max_power=4)
         assert cert.power == 2 and cert.bound == Fraction(1, 2)
-        real = TransitionContext(graph.evaluated_at(Fraction(1, 2)))
-        cert = nonvanishing_certificate(real, 0, max_power=4)
+        real_path = make_path(lambda k: LCElement.rational(Fraction(math.factorial(k), 2**k)))
+        cert = nonvanishing_certificate(TransitionContext(real_path), 0, max_power=4)
         assert cert.power == 2 and cert.bound == Fraction(2, 3)
 
 
