@@ -23,7 +23,6 @@ from .errors import (
 )
 from .field import (
     INF,
-    Classification,
     LCElement,
     PrecisionConfig,
     active_precision,

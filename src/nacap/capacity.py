@@ -94,18 +94,16 @@ def increasing_suffix_length(valuations) -> int:
     return count
 
 
-def convergence_evidence(valuations, threshold=None) -> dict:
+def convergence_evidence(valuations) -> dict:
     """Finite-horizon evidence that a sequence of difference valuations
     grows without bound: a strictly increasing suffix reaching the end of
-    the computed range, optionally past a requested threshold."""
+    the computed range.  ``threshold_exceeded`` says only that the range is
+    not empty."""
     suffix = increasing_suffix_length(valuations)
-    exceeded = bool(valuations) and (
-        threshold is None or any(v == INF or v >= threshold for v in valuations)
-    )
     return {
         "suffix_length": suffix,
         "strictly_increasing_tail": suffix >= min(3, len(valuations)) and suffix > 1,
-        "threshold_exceeded": exceeded,
+        "threshold_exceeded": bool(valuations),
     }
 
 
@@ -474,7 +472,7 @@ def real_sweep(graph, a, n_power, r_values, N) -> RealSweepTable:
         if r <= 0:
             raise PreconditionError(f"sweep parameter r = {r} must be positive")
     if graph.field is not RFElement:
-        raise SpecFileError("evaluated_at applies to rational-function graphs")
+        raise SpecFileError("real-sweep needs a rational-function graph")
     ball = graph.ball(a, N)
     cap = effective_capacity(graph, ball, a)
     edges = {(min(x, y), max(x, y)): w for x in ball for y, w in graph.neighbors(x).items()}

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import contextvars
 import dataclasses
-import enum
 import heapq
 import math
 from contextlib import contextmanager
@@ -114,13 +113,6 @@ def precision(config: PrecisionConfig | None = None, **overrides):
         _ACTIVE.reset(token)
 
 
-class Classification(enum.Enum):
-    ZERO = "zero"
-    INFINITESIMAL = "infinitesimal"
-    FINITE = "finite_nonzero_standard_part"
-    INFINITELY_LARGE = "infinitely_large"
-
-
 def _finalize(terms, guarantee, cfg: PrecisionConfig) -> "LCElement":
     """Apply guarantee, window and term-count truncation to a sorted list of
     (exponent, coefficient) pairs with nonzero coefficients."""
@@ -196,8 +188,16 @@ def _quotient_terms(s: "LCElement", h: "LCElement", cfg: PrecisionConfig):
 
 
 class OrderedFieldElement:
-    """The operators an ordered-field element derives from its own
-    ``_coerce``, ``+``, ``*``, unary ``-``, ``inv`` and ``compare``."""
+    """What an ordered-field element derives from its own ``+``, ``*``,
+    unary ``-``, ``inv`` and ``sign``: rational coercion, ``-``, ``/``,
+    ``**`` and the order, x < y meaning that y - x is positive."""
+
+    def _coerce(self, other):
+        if isinstance(other, type(self)):
+            return other
+        if isinstance(other, RATIONAL_TYPES):
+            return self.rational(other)
+        return NotImplemented
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -221,7 +221,7 @@ class OrderedFieldElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other * self.inv()
+        return other / self
 
     def __pow__(self, n: int):
         """Square-and-multiply; a negative power inverts first."""
@@ -237,6 +237,16 @@ class OrderedFieldElement:
             base = base * base if n > 1 else base
             n >>= 1
         return result
+
+    def compare(self, other) -> int:
+        """Certified three-way comparison: -1, 0 or +1, the sign of the
+        difference, which raises where that sign is not certified."""
+        return (self - other).sign()
+
+    def indistinguishable(self, other) -> bool:
+        """True when the difference carries no certified term, i.e. the two
+        elements agree everywhere below the combined guarantee."""
+        return not (self - other)
 
     def __lt__(self, other):
         return self.compare(other) < 0
@@ -299,10 +309,6 @@ class LCElement(OrderedFieldElement):
         return parse_element(text)
 
     @staticmethod
-    def eps(exponent=1, coefficient=1) -> "LCElement":
-        return LCElement.monomial(coefficient, exponent)
-
-    @staticmethod
     def from_terms(pairs: Iterable[tuple], guarantee: Guarantee = INF) -> "LCElement":
         """Build an element from (exponent, coefficient) pairs.
 
@@ -333,20 +339,6 @@ class LCElement(OrderedFieldElement):
         term is stored (exact zero, or zero within the guarantee)."""
         return self.terms[0][0] if self.terms else INF
 
-    @property
-    def is_exact(self) -> bool:
-        return self.guarantee == INF
-
-    @property
-    def is_exact_zero(self) -> bool:
-        return not self.terms and self.guarantee == INF
-
-    @property
-    def is_zero_like(self) -> bool:
-        """True when no term is stored: the element is zero within its
-        guarantee (exactly zero iff the guarantee is infinite)."""
-        return not self.terms
-
     def __bool__(self) -> bool:
         # True iff certainly nonzero.
         return bool(self.terms)
@@ -360,28 +352,7 @@ class LCElement(OrderedFieldElement):
                 break
         return Q(0)
 
-    def classify(self) -> Classification:
-        if not self.terms:
-            if self.guarantee == INF:
-                return Classification.ZERO
-            raise IndeterminateComparisonError(
-                "cannot classify an element that vanishes within a finite guarantee"
-            )
-        lam = self.terms[0][0]
-        if lam > 0:
-            return Classification.INFINITESIMAL
-        if lam < 0:
-            return Classification.INFINITELY_LARGE
-        return Classification.FINITE
-
     # -- arithmetic ---------------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, LCElement):
-            return other
-        if isinstance(other, RATIONAL_TYPES):
-            return LCElement.rational(other)
-        return NotImplemented
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -485,52 +456,23 @@ class LCElement(OrderedFieldElement):
             guarantee if guarantee == INF else guarantee + shift,
         )
 
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
     def inv(self) -> "LCElement":
         """Multiplicative inverse: 1/self by ``__truediv__``."""
         return _ONE / self
 
     # -- order --------------------------------------------------------------
 
-    def compare(self, other) -> int:
-        """Certified three-way comparison: -1, 0 or +1.
-
-        0 is returned only for an exactly-zero difference; a difference that
-        vanishes within a finite guarantee raises."""
-        other = self._coerce(other)
-        if other is NotImplemented:
-            raise TypeError(f"cannot compare LCElement with {type(other)!r}")
-        diff = self - other
-        if diff.terms:
-            return 1 if diff.terms[0][1] > 0 else -1
-        if diff.guarantee == INF:
-            return 0
-        raise IndeterminateComparisonError(
-            "difference vanishes within finite guarantee "
-            f"(guarantee exponent {diff.guarantee}); rerun with a larger window"
-        )
-
     def sign(self) -> int:
+        """The sign of the leading coefficient; 0 only for the exact zero.
+        An element that vanishes within a finite guarantee raises."""
         if self.terms:
             return 1 if self.terms[0][1] > 0 else -1
         if self.guarantee == INF:
             return 0
         raise IndeterminateComparisonError(
-            "sign of an element that vanishes within a finite guarantee"
+            "element vanishes within finite guarantee "
+            f"(guarantee exponent {self.guarantee}); rerun with a larger window"
         )
-
-    def indistinguishable(self, other) -> bool:
-        """True when the difference carries no certified term, i.e. the two
-        elements agree everywhere below the combined guarantee."""
-        other = self._coerce(other)
-        if other is NotImplemented:
-            raise TypeError(f"cannot compare LCElement with {type(other)!r}")
-        return not (self - other).terms
 
     def with_guarantee(self, guarantee) -> "LCElement":
         """Lower the guarantee (never raises it); terms at or above the new

@@ -221,7 +221,13 @@ class ExplicitListRule:
 
     @property
     def edge_count(self) -> Optional[int]:
-        return None if self.tail is not None else len(self.literals)
+        """The number of weights; None when the tail never ends.  The tail
+        is read at the original index, so a finite tail ends the rule where
+        the longer of the two lists ends."""
+        if self.tail is None:
+            return len(self.literals)
+        tail_count = getattr(self.tail, "edge_count", None)
+        return None if tail_count is None else max(len(self.literals), tail_count)
 
     def trend(self, field) -> Trend:
         return self.tail.trend(field) if self.tail is not None else Trend(Trend.UNKNOWN)

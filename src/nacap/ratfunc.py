@@ -35,7 +35,7 @@ from math import gcd, lcm
 from typing import Tuple
 
 from .errors import PoleError, SpecFileError
-from .exact import Q, RATIONAL_TYPES
+from .exact import Q
 from .field import INF, OrderedFieldElement, parse_element
 
 Poly = Tuple[int, ...]  # coefficient at index k multiplies r**k
@@ -252,13 +252,6 @@ class RFElement(OrderedFieldElement):
 
     # -- arithmetic ------------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, RFElement):
-            return other
-        if isinstance(other, RATIONAL_TYPES):
-            return RFElement.rational(other)
-        return NotImplemented
-
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -303,17 +296,6 @@ class RFElement(OrderedFieldElement):
         if _lowest(self.num)[1] < 0:
             return RFElement(tuple(-c for c in self.den), tuple(-c for c in self.num))
         return RFElement(self.den, self.num)
-
-    # -- order ----------------------------------------------------------------
-
-    def compare(self, other) -> int:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            raise TypeError(f"cannot compare RFElement with {type(other)!r}")
-        return (self - other).sign()
-
-    def indistinguishable(self, other) -> bool:
-        return self.compare(other) == 0
 
     # -- conversions -------------------------------------------------------------
 

@@ -1,0 +1,86 @@
+"""The fixture × subcommand matrix and its recorded reports.
+
+    PYTHONPATH=src python3 tests/matrix_reference.py
+
+Runs every matrix case in process, except the known ex9 defects, and writes
+its exit code, its stderr and the ``outputs`` block of its report (None
+when it exits nonzero) to ``tests/reference/matrix.json``.
+``test_cli.test_fixture_command_matrix`` holds each later run to that
+entry.  Rerun this only on purpose, and list every run whose entry
+changes.
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+
+REFERENCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "reference", "matrix.json")
+
+# Every fixture under every subcommand, at small horizons.
+FIXTURES = tuple(f"ex{i}" for i in range(1, 10))
+MATRIX_COMMANDS = (
+    "solve-dp --horizon 3",
+    "solve-dp --horizon 3 --renormalized",
+    "capacity --horizon 3",
+    "classify",
+    "nash-williams --horizon 6",
+    "green --x 1 --y 0 --horizon 3",
+    "transition --x 0 --y 0 --n 3",
+    "transition --x 0 --y 1 --n 3 --series 4",
+    "transition --x 0 --y 0 --n 4 --restrict 2",
+    "transition --x 0 --y 2 --n 4 --max-product",
+    "harnack --set 0,1,2",
+    "superharmonic --u 1,1,1",
+    "hardy --samples 2 --horizon 4",
+    "real-sweep --r 1/2 --horizon 3",
+)
+
+
+def is_ex9_limit(fixture, command):
+    """The ex9 capacity limit calls with_guarantee, which RFElement lacks
+    (ROADMAP item 3)."""
+    return fixture == "ex9" and command.split()[0] in ("classify", "capacity", "hardy")
+
+
+def case_id(fixture, command):
+    return f"{fixture}-{command}"
+
+
+def argv(fixture, command):
+    name, *options = command.split()
+    return [name, "--spec", fixture, *options]
+
+
+def load():
+    with open(REFERENCE) as handle:
+        return json.load(handle)
+
+
+def main():
+    from nacap.cli import main as cli_main
+
+    recorded = {}
+    for fixture in FIXTURES:
+        for command in MATRIX_COMMANDS:
+            if is_ex9_limit(fixture, command):
+                continue
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli_main(argv(fixture, command))
+            recorded[case_id(fixture, command)] = {
+                "exit": code,
+                "stderr": err.getvalue(),
+                "outputs": json.loads(out.getvalue())["outputs"] if code == 0 else None,
+            }
+    os.makedirs(os.path.dirname(REFERENCE), exist_ok=True)
+    with open(REFERENCE, "w") as handle:
+        json.dump(recorded, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+    print(f"{len(recorded)} runs written to {REFERENCE}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

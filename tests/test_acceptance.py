@@ -38,7 +38,7 @@ from nacap.transition import (
 from prop_suites import CRITERION_SUITES, run_suite
 
 ONE = LCElement.one()
-EPS = LCElement.eps()
+EPS = LCElement.monomial(1, 1)
 
 
 def example(name):
@@ -55,7 +55,7 @@ def report(criterion, ok, detail=""):
 def geometric_sum(n):
     total = LCElement.zero()
     for k in range(n):
-        total = total + LCElement.eps(k)
+        total = total + LCElement.monomial(1, k)
     return total
 
 
@@ -73,7 +73,7 @@ class TestCriterion1:
         decaying, _ = example("ex1")
         for n in range(1, 21):
             cap = solve_dp(decaying, decaying.ball(0, n), 0).capacity
-            expected = LCElement.eps(n - 1) * geometric_sum(n).inv()
+            expected = LCElement.monomial(1, n - 1) * geometric_sum(n).inv()
             if not cap.indistinguishable(expected) or cap.valuation != n - 1:
                 failures.append(f"eps-power path cap_{n} mismatch")
                 break
@@ -133,7 +133,7 @@ class TestCriterion3:
             if not valuations[-1] >= 3:
                 failures.append(f"restricted valuation stalls at {valuations[-1]}")
 
-            eps_squared = LCElement.eps(2)
+            eps_squared = LCElement.monomial(1, 2)
             for n in range(1, 41):
                 value = pi_element(ctx, 0, 0, 2 * n).value
                 if not value.compare(eps_squared) > 0:
@@ -227,7 +227,7 @@ class TestCriterion6:
         check7 = is_superharmonic(alternating, two_scale, range(8))
         if not check7.ok:
             failures.append("two-infinitesimal drop not superharmonic")
-        if not check7.laplacian[0].indistinguishable(LCElement.eps(2)):
+        if not check7.laplacian[0].indistinguishable(LCElement.monomial(1, 2)):
             failures.append("Laplacian at 0 is not e^2 on the alternating path")
 
         construction = construct_superharmonic(unit, 0, ONE, EPS, radius=8)

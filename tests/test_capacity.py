@@ -50,7 +50,7 @@ from capacity_reference import (
 from prop_suites import random_graph
 
 ONE = LCElement.one()
-EPS = LCElement.eps()
+EPS = LCElement.monomial(1, 1)
 
 
 def decaying_path():
@@ -68,7 +68,7 @@ def unit_path():
 def geometric_sum(n):
     total = LCElement.zero()
     for k in range(n):
-        total = total + LCElement.eps(k)
+        total = total + LCElement.monomial(1, k)
     return total
 
 
@@ -77,7 +77,7 @@ class TestCapacitySequence:
         # cap_n(0) = eps^(n-1) * (sum_{k<n} eps^k)^(-1); valuation n-1.
         seq = capacity_sequence(decaying_path(), 0, 8)
         for n, cap in enumerate(seq.values, start=1):
-            expected = LCElement.eps(n - 1) * geometric_sum(n).inv()
+            expected = LCElement.monomial(1, n - 1) * geometric_sum(n).inv()
             assert cap.indistinguishable(expected)
             assert cap.valuation == n - 1
 
@@ -299,7 +299,7 @@ class TestRealSweep:
         series_path = make_path(MonomialRule())
         with pytest.raises(PreconditionError, match="r = -1 must be positive"):
             real_sweep(series_path, 9, 0, [Fraction(1, 2), -1], 3)
-        with pytest.raises(SpecFileError, match="applies to rational-function graphs"):
+        with pytest.raises(SpecFileError, match="^real-sweep needs a rational-function graph$"):
             real_sweep(series_path, 9, 0, [Fraction(1, 2)], 3)
         with pytest.raises(HorizonExhaustedError, match="root vertex 9 outside the graph"):
             real_sweep(rf_finite_path(), 9, 0, [Fraction(1, 2)], 3)

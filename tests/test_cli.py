@@ -16,7 +16,12 @@ from nacap import cli
 from nacap.cli import main
 from nacap.specfile import build_graph, load_spec
 
+import matrix_reference
 from capacity_reference import per_r_real_sweep
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
+
+import checker  # noqa: E402
 
 
 def run(capsys, *argv):
@@ -188,6 +193,33 @@ class TestCommands:
         values = [node["value"] for node in report["outputs"]["values"]]
         assert values[3:] == ([] if horizon == 3 else ["0"])
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "capacity --horizon 3",
+            "capacity --horizon 6",
+            "classify",
+            "nash-williams --horizon 6",
+            "transition --x 0 --y 0 --n 8",
+        ],
+    )
+    def test_finite_list_tail_ends_the_path(self, capsys, tmp_path, command):
+        # A one-entry list with a three-entry list as its tail is the path
+        # of three unit edges, not an infinite path that runs out of weights.
+        name, *options = command.split()
+        tail = {"rule": "custom_list", "values": ["1", "1", "1"]}
+        outputs = []
+        for weights in ({"rule": "custom_list", "values": ["1"], "tail": tail}, ["1", "1", "1"]):
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps({"kind": "path", "weights": weights}))
+            outputs.append(run_json(capsys, name, "--spec", str(path), *options)["outputs"])
+        assert outputs[0] == outputs[1]
+        if name == "capacity":
+            values = [(node["value"], node["guarantee"]) for node in outputs[0]["values"]]
+            expected = [("1", "inf"), ("1/2", "inf"), ("1/3", "inf"), ("0", "inf")]
+            assert values == expected[: int(options[-1])]
+            assert outputs[0]["verdict"]["certificate"]["type"] == "bounded_below"
+
 
     @pytest.mark.parametrize(
         "spec, command",
@@ -208,43 +240,34 @@ class TestCommands:
 
 
 # Every fixture under every subcommand, at small horizons: each run ends with
-# a documented exit code, never a traceback.
-MATRIX_COMMANDS = (
-    "solve-dp --horizon 3",
-    "solve-dp --horizon 3 --renormalized",
-    "capacity --horizon 3",
-    "classify",
-    "nash-williams --horizon 6",
-    "green --x 1 --y 0 --horizon 3",
-    "transition --x 0 --y 0 --n 3",
-    "transition --x 0 --y 1 --n 3 --series 4",
-    "transition --x 0 --y 0 --n 4 --restrict 2",
-    "transition --x 0 --y 2 --n 4 --max-product",
-    "harnack --set 0,1,2",
-    "superharmonic --u 1,1,1",
-    "hardy --samples 2 --horizon 4",
-    "real-sweep --r 1/2 --horizon 3",
-)
+# a documented exit code, never a traceback, and reproduces its recorded
+# exit code, stderr and outputs (tests/matrix_reference.py).  Guarantees may
+# rise, and values must agree below the recorded guarantee.
 EX9_LIMIT = pytest.mark.xfail(
     strict=True,
     raises=AttributeError,
     reason="ROADMAP item 3: the ex9 capacity limit calls with_guarantee, which RFElement lacks",
 )
+MATRIX_REFERENCE = matrix_reference.load()
 
 
 def matrix_cases():
-    for i in range(1, 10):
-        for command in MATRIX_COMMANDS:
-            name = command.split()[0]
-            marks = EX9_LIMIT if i == 9 and name in ("classify", "capacity", "hardy") else ()
-            yield pytest.param(f"ex{i}", command, marks=marks, id=f"ex{i}-{command}")
+    for fixture in matrix_reference.FIXTURES:
+        for command in matrix_reference.MATRIX_COMMANDS:
+            marks = EX9_LIMIT if matrix_reference.is_ex9_limit(fixture, command) else ()
+            yield pytest.param(fixture, command, marks=marks, id=matrix_reference.case_id(fixture, command))
 
 
 @pytest.mark.parametrize("fixture, command", matrix_cases())
 def test_fixture_command_matrix(capsys, fixture, command):
-    name, *options = command.split()
-    code, _, _ = run(capsys, name, "--spec", fixture, *options)
+    code, out, err = run(capsys, *matrix_reference.argv(fixture, command))
     assert code in (0, 2, 3, 4)
+    reference = MATRIX_REFERENCE[matrix_reference.case_id(fixture, command)]
+    assert (code, err) == (reference["exit"], reference["stderr"])
+    if code == 0:
+        report = json.loads(out)
+        series = report["spec"].get("field", "levi-civita") == "levi-civita"
+        assert checker.compare_outputs(reference["outputs"], report["outputs"], series) == []
 
 
 class TestDeterminismAndErrors:

@@ -96,7 +96,7 @@ def check_case(rng, monkeypatch):
         # from x.guarantee - val(y) on.
         assert quotient.guarantee <= x.guarantee - y.valuation
         assert new_inv == _ONE / y
-    if y.is_exact:
+    if y.guarantee == INF:
         # y * (1/y) - 1 vanishes below val(y) + guarantee(1/y) exactly when
         # every term of 1/y below its guarantee is the true one.
         with precision(window=1000, max_terms=10**5):
@@ -254,7 +254,7 @@ class TestShortOperands:
             assert wide + LCElement.zero() == lc([(0, 1), (1, 1), (2, 1)], Fraction(3))
             assert LCElement.zero() + wide == reference_add(LCElement.zero(), wide)
             assert 2 * wide == lc([(0, 2), (1, 2), (2, 2)], Fraction(3))
-            assert wide * LCElement.eps() == reference_mul(wide, LCElement.eps())
+            assert wide * LCElement.monomial(1, 1) == reference_mul(wide, LCElement.monomial(1, 1))
 
     def test_one_term_factor_meets_the_window_below_its_guarantee(self):
         # The guarantee 6 comes from the one-term factor; the pairs at 5 and

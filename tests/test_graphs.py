@@ -28,7 +28,7 @@ from nacap.graphs import (
 )
 from nacap.specfile import load_spec, parse_weight_rule
 
-EPS = LCElement.eps()
+EPS = LCElement.monomial(1, 1)
 
 
 def unit_path():
@@ -54,6 +54,20 @@ class TestBall:
         assert g.ball(0, 10) == (0, 1, 2)
         assert g.vertex_count == 3
 
+    @pytest.mark.parametrize(
+        "literals, tail, count",
+        [(("1",), ("1", "1", "1"), 3), (("1", "1", "1", "1"), ("1", "1"), 4), (("1",), None, 1)],
+    )
+    def test_finite_tail_ends_the_path(self, literals, tail, count):
+        # The tail is read at the original index, so the path ends where
+        # the later of the two lists does.
+        rule = ExplicitListRule(literals, tail=ExplicitListRule(tail) if tail else None)
+        assert rule.edge_count == count
+        assert make_path(rule).ball(0, 10) == tuple(range(count + 1))
+
+    def test_rule_tail_never_ends(self):
+        assert ExplicitListRule(("1",), tail=MonomialRule()).edge_count is None
+
     def test_vertex_outside_finite_path(self):
         g = make_path(ExplicitListRule(("1",)))
         with pytest.raises(HorizonExhaustedError):
@@ -64,7 +78,7 @@ class TestBoundaryWeight:
     def test_single_boundary_edge_eps_powers(self):
         g = make_path(MonomialRule())  # b(k, k+1) = eps^k
         for n in (1, 2, 5):
-            assert g.boundary_weight(g.ball(0, n)) == LCElement.eps(n - 1)
+            assert g.boundary_weight(g.ball(0, n)) == LCElement.monomial(1, n - 1)
 
     def test_unit_path(self):
         g = unit_path()
@@ -148,7 +162,7 @@ class TestMakeSpherical:
             total = LCElement.zero()
             for y in up:
                 total = total + g.weight(x, y)
-            assert total.indistinguishable(LCElement.eps(k))
+            assert total.indistinguishable(LCElement.monomial(1, k))
 
     def test_incompatible_profile_rejected(self):
         profile = SphericalProfile(

@@ -2,6 +2,7 @@
 and answer the same constructors and queries, so graph code never asks a
 scalar for its type."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -122,6 +123,46 @@ class TestZeroLikeSeries:
         assert scalars.is_zero_like(self.ZERO_LIKE)
         assert not scalars.certainly_positive(self.ZERO_LIKE)
         assert scalars.valuation_of(self.ZERO_LIKE) == INF
+
+
+OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "<": operator.lt}
+OPERATIONS = {
+    **OPERATORS,
+    "compare": lambda x, y: x.compare(y),
+    "indistinguishable": lambda x, y: x.indistinguishable(y),
+}
+
+
+class TestOperands:
+    """An element combines with an element of its own field and with a
+    rational; anything else, including the other field, is a TypeError."""
+
+    @pytest.mark.parametrize("name", OPERATIONS)
+    @pytest.mark.parametrize("left", ELEMENT_CLASSES, ids=lambda cls: cls.__name__)
+    def test_mixed_fields_raise(self, name, left):
+        right = RFElement if left is LCElement else LCElement
+        with pytest.raises(TypeError):
+            OPERATIONS[name](left.from_literal("2 + 1*e^(1)"), right.from_literal("3"))
+
+    @pytest.mark.parametrize("name", OPERATIONS)
+    @pytest.mark.parametrize("other", [1.5, "a"])
+    def test_non_rational_operands_raise(self, field, name, other):
+        x = field.from_literal("2 + 1*e^(1)")
+        with pytest.raises(TypeError):
+            OPERATIONS[name](x, other)
+        if name in OPERATORS:
+            with pytest.raises(TypeError):
+                OPERATORS[name](other, x)
+
+    @pytest.mark.parametrize("name", OPERATIONS)
+    @pytest.mark.parametrize("value", [2, Fraction(-1, 3)])
+    def test_rationals_coerce_on_either_side(self, field, name, value):
+        x = field.from_literal("2 + 1*e^(1)")
+        c = field.rational(value)
+        op = OPERATIONS[name]
+        assert op(x, value) == op(x, c)
+        if name in OPERATORS:
+            assert op(value, x) == op(c, x)
 
 
 def test_helpers_on_nonzero_values(field):

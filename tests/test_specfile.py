@@ -27,7 +27,7 @@ class TestKinds:
                 "measure": ["2", "1", "1/3"],
             },
         )
-        assert graph.weight(1, 2) == LCElement.eps()
+        assert graph.weight(1, 2) == LCElement.monomial(1, 1)
         assert graph.measure(0) == LCElement.rational(2)
 
     def test_spherical_graph(self, tmp_path):

@@ -49,7 +49,7 @@ from transition_reference import (
 )
 
 ONE = LCElement.one()
-EPS = LCElement.eps()
+EPS = LCElement.monomial(1, 1)
 HALF = LCElement.rational(Fraction(1, 2))
 
 
@@ -177,7 +177,7 @@ class TestMaxPath:
         # L = {0,1}: P_L^2(0,0) = p(0,1) p(1,0) = eps^(1/2)/(1 + eps^(1/2)).
         ctx = half_power_ctx()
         value = pn_restricted(ctx, (0, 1), 0, 0, 2)
-        oracle = LCElement.eps(Fraction(1, 2)) * (ONE + LCElement.eps(Fraction(1, 2))).inv()
+        oracle = LCElement.monomial(1, Fraction(1, 2)) * (ONE + LCElement.monomial(1, Fraction(1, 2))).inv()
         assert value.indistinguishable(oracle)
 
     def test_half_power_unrestricted_valuations(self):
@@ -188,7 +188,7 @@ class TestMaxPath:
             for n in (1, 2, 3, 5):
                 result = pi_element(ctx, 0, 0, 2 * n)
                 assert result.value.valuation == 1 - Fraction(1, 2**n)
-                assert result.value.compare(LCElement.eps(2)) > 0
+                assert result.value.compare(LCElement.monomial(1, 2)) > 0
                 assert max(result.path) == n
 
     def test_restricted_valuations_match_profile_oracle(self):
