@@ -17,7 +17,10 @@ below val(x) + geometric_series_depth * val(h) and within the window.
 A sum merges the two sorted term lists, and a quotient merges the
 exponents of the numerator with those its found coefficients reach, for
 operands of any length.  Only a product has a path of its own for short
-operands: a one-term factor shifts and scales the other factor.
+operands: a one-term factor shifts and scales the other factor.  Every cut
+of a sorted term list, at a guarantee or at the window's edge, is a
+bisection made only when the last term reaches it, and a zero shift or a
+unit scale leaves the terms as they are.
 Sign and ordering queries that cannot be certified raise
 IndeterminateComparisonError rather than guessing.
 
@@ -32,9 +35,11 @@ import contextvars
 import dataclasses
 import heapq
 import math
+from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Tuple, Union
 
 from .exact import Q, RATIONAL_TYPES
@@ -45,6 +50,7 @@ from .errors import (
 )
 
 INF = math.inf
+_exponent = itemgetter(0)  # the sort key of a term list
 
 Exponent = Fraction
 Coefficient = Fraction
@@ -113,20 +119,40 @@ def precision(config: PrecisionConfig | None = None, **overrides):
         _ACTIVE.reset(token)
 
 
+def _below(terms, bound):
+    """The terms of a sorted term list with exponents below bound (finite or
+    INF), cut by bisection only when the last term reaches it."""
+    if terms and bound != INF and terms[-1][0] >= bound:
+        return terms[: bisect_left(terms, bound, key=_exponent)]
+    return terms
+
+
 def _finalize(terms, guarantee, cfg: PrecisionConfig) -> "LCElement":
     """Apply guarantee, window and term-count truncation to a sorted list of
-    (exponent, coefficient) pairs with nonzero coefficients."""
-    if terms and guarantee != INF:
-        terms = [t for t in terms if t[0] < guarantee]
+    (exponent, coefficient) pairs with nonzero coefficients.  Each cut is a
+    bisection, made only when the last term reaches it."""
+    terms = _below(terms, guarantee)
     if terms:
         cut = terms[0][0] + cfg.window
         if terms[-1][0] >= cut:
-            terms = [t for t in terms if t[0] < cut]
+            terms = terms[: bisect_left(terms, cut, key=_exponent)]
             guarantee = min(guarantee, cut)
         if len(terms) > cfg.max_terms:
             guarantee = min(guarantee, terms[cfg.max_terms][0])
             terms = terms[: cfg.max_terms]
     return LCElement(tuple(terms), guarantee)
+
+
+def _moved(terms, shift, scale):
+    """The terms times scale*e^shift; a zero shift or a unit scale leaves
+    the exponents or the coefficients as they are."""
+    if shift and scale != 1:
+        return [(e + shift, scale * c) for e, c in terms]
+    if shift:
+        return [(e + shift, c) for e, c in terms]
+    if scale != 1:
+        return [(e, scale * c) for e, c in terms]
+    return terms
 
 
 def _quotient_terms(s: "LCElement", h: "LCElement", cfg: PrecisionConfig):
@@ -153,7 +179,7 @@ def _quotient_terms(s: "LCElement", h: "LCElement", cfg: PrecisionConfig):
         lam = h.terms[0][0]
         steps = min(cfg.geometric_series_depth - 1, math.ceil(cfg.window / lam) + 1)
         bound = min(bound, (steps + 1) * lam)
-    numerator = [t for t in s.terms if t[0] < bound]
+    numerator = _below(s.terms, bound)
     terms = []
     walks = []  # (exponent, j, position): terms[position] shifted by eta_j
     waiting = list(range(len(h.terms)))  # walks that have caught up
@@ -403,17 +429,12 @@ class LCElement(OrderedFieldElement):
                 guarantee = cut
         if len(self.terms) == 1 or len(other.terms) == 1:
             # A one-term factor shifts and scales the other's terms, which
-            # stay sorted, distinct and nonzero.
+            # stay sorted, distinct and nonzero.  The other factor is cut
+            # once, at guarantee - shift, and only its kept terms change.
             ((shift, scale),), rest = (
                 (self.terms, other.terms) if len(self.terms) == 1 else (other.terms, self.terms)
             )
-            terms = []
-            for exponent, coefficient in rest:
-                exponent += shift
-                if exponent >= guarantee:
-                    break
-                terms.append((exponent, scale * coefficient))
-            return _finalize(terms, guarantee, cfg)
+            return _finalize(_moved(_below(rest, guarantee - shift), shift, scale), guarantee, cfg)
         acc: dict = {}
         for ex, cx in self.terms:
             for ey, cy in other.terms:
@@ -452,7 +473,7 @@ class LCElement(OrderedFieldElement):
         terms, guarantee = _quotient_terms(s, h, cfg)
         shift = v - q0
         return LCElement(
-            tuple((e + shift, c / a0) for e, c in terms),
+            tuple(_moved(terms, shift, 1 / a0)),
             guarantee if guarantee == INF else guarantee + shift,
         )
 

@@ -25,7 +25,7 @@ from .errors import (
     NonpositiveWeightError,
     SpecFileError,
 )
-from .field import LCElement
+from .field import LCElement, active_precision
 from .ratfunc import RFElement
 
 
@@ -358,7 +358,7 @@ class _LayeredStructure:
         self.field = field
         self.last_level = getattr(profile.b_plus, "edge_count", None)  # None: no last sphere
         self._starts = [0, 1]  # vertex index where each level starts
-        self._level_weights: dict = {}
+        self._level_weights: dict = {}  # PrecisionConfig -> {level: weight}
 
     def _start(self, level: int) -> int:
         while len(self._starts) <= level:
@@ -373,8 +373,11 @@ class _LayeredStructure:
         return self._start(level + 1) - self._start(level)
 
     def _edge_weight(self, level: int):
-        """Uniform weight of one edge between sphere `level` and `level+1`."""
-        if level not in self._level_weights:
+        """Uniform weight of one edge between sphere `level` and `level+1`.
+        Dividing b_plus by a sphere size truncates under the active
+        precision, so the weights are kept per precision."""
+        weights = self._level_weights.setdefault(active_precision(), {})
+        if level not in weights:
             w = self.profile.b_plus.value(level, self.field)
             if not w or w.sign() <= 0:
                 raise NonpositiveWeightError(
@@ -392,8 +395,8 @@ class _LayeredStructure:
                         f"#S_{level} * b_plus({level}) != "
                         f"#S_{level + 1} * b_minus({level + 1})"
                     )
-            self._level_weights[level] = w
-        return self._level_weights[level]
+            weights[level] = w
+        return weights[level]
 
     def vertex_exists(self, v: int) -> bool:
         if v < 0:
@@ -458,14 +461,26 @@ class _ExplicitStructure:
 class WeightedGraph:
     """Immutable-by-contract weighted graph.  Internally the materialized
     horizon grows monotonically (append-only caches), which is invisible to
-    callers; all public methods are pure."""
+    callers.  Every public method is a pure function of the graph and the
+    active PrecisionConfig: a degree b(v), and a layered graph's edge weight,
+    is a field result truncated under that precision, so the neighbour and
+    degree caches are kept per precision, as transition columns are."""
 
     def __init__(self, structure, field, measure=None):
         self._structure = structure
         self.field = field
         self.measure_rule = measure if measure is not None else ConstantMeasure()
+        self._caches: dict = {}  # PrecisionConfig -> (neighbours, degrees)
+        self._precision = None  # the PrecisionConfig of the two caches below
         self._neighbors: dict = {}
         self._degree: dict = {}
+
+    def _use_active_precision(self):
+        """Point _neighbors and _degree at the caches of the active
+        precision.  Callers check by identity first, so a lookup under an
+        unchanged precision costs one comparison."""
+        self._precision = active_precision()
+        self._neighbors, self._degree = self._caches.setdefault(self._precision, ({}, {}))
 
     # -- basic access ------------------------------------------------------
 
@@ -482,6 +497,8 @@ class WeightedGraph:
         return self._structure.vertex_exists(v)
 
     def neighbors(self, v: int) -> dict:
+        if active_precision() is not self._precision:
+            self._use_active_precision()
         if v not in self._neighbors:
             pairs = sorted(self._structure.neighbors_of(v))
             self._neighbors[v] = dict(pairs)
@@ -492,6 +509,8 @@ class WeightedGraph:
 
     def degree_weight(self, v: int):
         """b(v), the sum of incident edge weights."""
+        if active_precision() is not self._precision:
+            self._use_active_precision()
         if v not in self._degree:
             total = self.field.zero()
             for w in self.neighbors(v).values():

@@ -3,11 +3,13 @@
 Matrix powers P^n(x, y) are exact sums over length-n paths, computed by
 repeated sparse application of the operator to a column: f_n = P^n e_y,
 and P^n(x, y) = f_n(x), with exact edge weights and one division per
-vertex: (Pf)(z) = (sum_w b(z, w) f(w)) / b(z).  A context caches columns
-only, once per active precision and (y, restriction), extended as far as
-a call asks, so powers, partial sums and the non-decay search share them.
+vertex: (Pf)(z) = (sum_w b(z, w) f(w)) / b(z).  Up to power N only the
+light cone of x is formed: f_k on the vertices within distance N - k of x.
+A context caches columns only, once per active precision and (x, y,
+restriction), with the horizon N they were built for, so powers, partial
+sums and the non-decay search share them up to that horizon.
 Pi^n(x, y) is the maximal single-path product, which controls P^n up to an
-infinitely large factor.
+infinitely large factor; its search is confined to the same light cone.
 Convergence of P^n to zero is never inferred from raw finite evidence: a
 restricted operator is certified through the exact minimum mean cycle of
 edge valuations (sound and complete on a finite restriction), the full
@@ -59,7 +61,7 @@ class TransitionContext:
 
     def __init__(self, graph):
         self.graph = graph.with_degree_measure()
-        self._columns: dict = {}  # PrecisionConfig -> {(y, restrict): column}
+        self._columns: dict = {}  # PrecisionConfig -> {(x, y, restrict): column}
 
     @property
     def field(self):
@@ -71,16 +73,24 @@ class TransitionContext:
         return {y: w / degree for y, w in self.graph.neighbors(x).items()}
 
 
-def _apply(ctx: TransitionContext, f: dict, restrict) -> dict:
-    """One application of P (or its restriction) to a sparse vector."""
-    zero = ctx.field.zero()
+def _targets(ctx: TransitionContext, support, inside) -> list:
+    """The neighbours of the vertices in `support` that lie in the vertex
+    set `inside` (anywhere when None), in ascending order."""
     targets = set()
-    for w in f:
+    for w in support:
         for z in ctx.graph.neighbors(w):
-            if restrict is None or z in restrict:
+            if inside is None or z in inside:
                 targets.add(z)
+    return sorted(targets)
+
+
+def _apply(ctx: TransitionContext, f: dict, restrict) -> dict:
+    """One application of P (or its restriction) to a sparse vector: the
+    result is formed on the neighbours of f's support that lie in
+    `restrict`, the whole graph when None."""
+    zero = ctx.field.zero()
     out = {}
-    for z in sorted(targets):
+    for z in _targets(ctx, f, restrict):
         acc = zero
         for w, b in ctx.graph.neighbors(z).items():
             fw = f.get(w)
@@ -104,15 +114,37 @@ def _restriction(ctx: TransitionContext, restrict, x, y) -> Optional[frozenset]:
     return restrict
 
 
-def _column(ctx: TransitionContext, y, restrict: Optional[frozenset], N) -> list:
-    """[P_R^n e_y for n = 0..N] as sparse vectors, R = restrict.  The column
-    lives in ctx and is extended only as far as N."""
+def _light_cone(ctx: TransitionContext, x, N, restrict: Optional[frozenset]) -> list:
+    """[C_0, ..., C_N]: C_r holds the vertices of `restrict` (of the whole
+    graph when None) within distance r of x.  A walk inside the restriction
+    that ends at x after r more steps starts in C_r, because a distance in
+    the whole graph lower-bounds the distance inside a restriction."""
+    cone = [set() for _ in range(N + 1)]
+    for z, d in ctx.graph.distances_from(x, N).items():
+        if restrict is None or z in restrict:
+            for r in range(d, N + 1):
+                cone[r].add(z)
+    return cone
+
+
+def _column(ctx: TransitionContext, x, y, restrict: Optional[frozenset], N) -> list:
+    """[f_0, ..., f_H] for a horizon H >= N, f_k the restriction of P_R^k e_y
+    (R = restrict) to the light cone C_{H-k} of x, so f_n(x) = P_R^n(x, y)
+    for every n <= H.
+
+    The values are those of the whole column: a vertex kept at step k has
+    all its neighbours kept at step k - 1, one step wider in the cone, so
+    ``_apply`` forms the same products and sums in the same order there.
+    The column lives in ctx and serves every call with N <= H; a call past
+    H builds it afresh for horizon N."""
     columns = ctx._columns.setdefault(active_precision(), {})
-    column = columns.get((y, restrict))
-    if column is None:
-        column = columns[(y, restrict)] = [{y: ctx.field.one()}]
-    while len(column) <= N:
-        column.append(_apply(ctx, column[-1], restrict))
+    column = columns.get((x, y, restrict))
+    if column is None or len(column) <= N:
+        cone = _light_cone(ctx, x, N, restrict)
+        column = [{y: ctx.field.one()}]
+        for k in range(1, N + 1):
+            column.append(_apply(ctx, column[-1], cone[N - k]))
+        columns[(x, y, restrict)] = column
     return column
 
 
@@ -121,7 +153,7 @@ def transition_powers(ctx: TransitionContext, x, y, N, restrict=None) -> list:
     given.  Exact dynamic programming, never dense matrix powers."""
     restrict = _restriction(ctx, restrict, x, y)
     zero = ctx.field.zero()
-    return [f.get(x, zero) for f in _column(ctx, y, restrict, N)[: max(N, 0) + 1]]
+    return [f.get(x, zero) for f in _column(ctx, x, y, restrict, N)[: max(N, 0) + 1]]
 
 
 def pn_element(ctx: TransitionContext, x, y, n):
@@ -153,22 +185,12 @@ def pi_element(ctx: TransitionContext, x, y, n, restrict=None) -> MaxPathResult:
     if n == 0:
         one = ctx.field.one()
         return MaxPathResult(one, (x,)) if x == y else MaxPathResult(ctx.field.zero(), None)
-    # Prune states that cannot reach x in the remaining steps (full-graph
-    # distances lower-bound restricted distances, so pruning is safe).
-    dist_to_x = ctx.graph.distances_from(x, n)
+    # States that cannot reach x in the remaining steps are never formed.
+    cone = _light_cone(ctx, x, n, restrict)
     current = {y: (ctx.field.one(), (y,))}
     for step in range(1, n + 1):
-        remaining = n - step
         nxt = {}
-        targets = set()
-        for w in current:
-            for z in ctx.graph.neighbors(w):
-                if restrict is not None and z not in restrict:
-                    continue
-                if dist_to_x.get(z, n + 1) > remaining:
-                    continue
-                targets.add(z)
-        for z in sorted(targets):
+        for z in _targets(ctx, current, cone[n - step]):
             # Candidates b(z, w) * Pi(w): dividing them all by b(z) > 0
             # keeps their order, so only the winner is divided.
             best = None
@@ -336,7 +358,7 @@ def nonvanishing_certificate(
     for k, row in enumerate(islice(walks, max_power + 1)):
         if k < 2 or row.get(x0) != 0:
             continue
-        element = _column(ctx, x0, restrict, k)[k][x0]
+        element = _column(ctx, x0, x0, restrict, k)[k][x0]
         c = element.standard_part()
         diff = element - ctx.field.rational(c)
         if scalars.is_zero_like(diff) or diff.sign() < 0:

@@ -11,7 +11,8 @@ by 1 + h, with a heap of pending exponents and a map of the coefficients
 found.  The differential tests in ``test_field_kernel.py`` and
 ``test_transition.py`` compare the library against them: addition,
 multiplication and the long division term for term, inversion and division
-with ``assert_refines``.
+with ``assert_refines``.  The truncation ``_finalize`` is a copy of its own,
+one filter per cut, so a cut the library misplaces shows as a difference.
 """
 
 import heapq
@@ -19,7 +20,23 @@ import math
 
 from nacap.errors import IndeterminateComparisonError
 from nacap.exact import Q
-from nacap.field import _ONE, INF, LCElement, _finalize, active_precision
+from nacap.field import _ONE, INF, LCElement, active_precision
+
+
+def _finalize(terms, guarantee, cfg) -> LCElement:
+    """Guarantee, window and term-count truncation of a sorted list of
+    (exponent, coefficient) pairs with nonzero coefficients."""
+    if terms and guarantee != INF:
+        terms = [t for t in terms if t[0] < guarantee]
+    if terms:
+        cut = terms[0][0] + cfg.window
+        if terms[-1][0] >= cut:
+            terms = [t for t in terms if t[0] < cut]
+            guarantee = min(guarantee, cut)
+        if len(terms) > cfg.max_terms:
+            guarantee = min(guarantee, terms[cfg.max_terms][0])
+            terms = terms[: cfg.max_terms]
+    return LCElement(tuple(terms), guarantee)
 
 
 def reference_add(x: LCElement, y: LCElement) -> LCElement:

@@ -9,6 +9,7 @@ the reference: their terms must agree below the reference guarantee, and
 their guarantee must be at least the reference one.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -287,3 +288,44 @@ class TestShortOperands:
         terms, guarantee = field._quotient_terms(s, h, cfg)
         assert (terms, guarantee) == reference_quotient_terms(s, h, cfg)
         assert (tuple(terms), guarantee) == (lc(expected[0]).terms, expected[1])
+
+
+class TestCutCost:
+    """The cuts of a sum and of a one-term product are bisections: the
+    number of exponent comparisons grows with the logarithm of the length
+    of the operand, not with the length."""
+
+    @staticmethod
+    def count_comparisons(monkeypatch, operation):
+        counted = []
+        for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+            method = getattr(Fraction, name)
+
+            def counting(a, b, _method=method):
+                counted.append(1)
+                return _method(a, b)
+
+            monkeypatch.setattr(Fraction, name, counting)
+        result = operation()
+        monkeypatch.undo()
+        return result, len(counted)
+
+    @pytest.mark.parametrize("n", [200, 800])
+    def test_comparisons_grow_with_the_logarithm(self, n, monkeypatch):
+        # x spans exponents 0 .. (n - 1)/(n/25); the zero-like addend cuts
+        # it at 20, and in a window of 16 the product by e^3 at 19.
+        step = Fraction(25, n)
+        x = LCElement(tuple((k * step, Fraction(k + 1)) for k in range(n)), Fraction(26))
+        zero_like = LCElement((), Fraction(20))
+        e3 = LCElement.monomial(1, 3)
+        bound = 4 * math.log2(n) + 24
+        with precision(max_terms=4 * n):
+            total, count = self.count_comparisons(monkeypatch, lambda: x + zero_like)
+            assert total == reference_add(x, zero_like)
+            assert total.guarantee == 20 and len(total.terms) == 4 * n // 5
+            assert count <= bound, count
+        with precision(window=16, max_terms=4 * n):
+            product, count = self.count_comparisons(monkeypatch, lambda: e3 * x)
+            assert product == reference_mul(e3, x)
+            assert product.guarantee == 19 and len(product.terms) == 16 * n // 25
+            assert count <= bound, count

@@ -10,7 +10,8 @@ from nacap.errors import (
     IncompatibleProfileError,
     NonpositiveWeightError,
 )
-from nacap.field import LCElement
+from nacap.dirichlet import solve_dp
+from nacap.field import INF, LCElement, precision
 from nacap.graphs import (
     FIELDS,
     ConstantRule,
@@ -234,3 +235,35 @@ class TestExplicit:
 
         with pytest.raises(DisconnectedSetError):
             make_explicit(3, [(0, 1, LCElement.one())])
+
+
+class TestCachesPerPrecision:
+    """A degree, and a layered edge weight divided by a sphere size, are
+    truncated under the precision active when they are formed; a graph
+    reused under another precision must read what a fresh graph does."""
+
+    @staticmethod
+    def wide_explicit():
+        return make_explicit(3, [(0, 1, LCElement.one()), (1, 2, LCElement.monomial(1, 20))])
+
+    def test_degree_formed_under_a_narrow_window(self):
+        g = self.wide_explicit()
+        with precision(window=8):
+            assert g.degree_weight(1) == LCElement(((0, 1),), Fraction(8))
+        assert g.degree_weight(1) == self.wide_explicit().degree_weight(1)
+        assert g.degree_weight(1).guarantee == INF
+        capacity = solve_dp(g, (0, 1), 0).capacity
+        assert capacity == solve_dp(self.wide_explicit(), (0, 1), 0).capacity
+        assert capacity == LCElement(((20, 1),), Fraction(40))
+
+    def test_layered_weight_formed_under_a_narrow_window(self):
+        def graph():
+            rule = ExplicitListRule(("1 + 1*e^(20)",), tail=ConstantRule(1))
+            return make_spherical(SphericalProfile(rule, ListSize((1, 2, 1))))
+
+        g = graph()
+        half = Fraction(1, 2)
+        with precision(window=8):
+            assert g.weight(0, 1) == LCElement(((0, half),), Fraction(20))
+        assert g.weight(0, 1) == graph().weight(0, 1) == LCElement(((0, half), (20, half)))
+        assert g.degree_weight(0) == graph().degree_weight(0)

@@ -415,7 +415,7 @@ class TestCost:
         # Every product has an edge weight as one operand, never two long
         # series, and every target vertex costs one division.
         ctx = TransitionContext(build_graph(load_spec(name))[0])
-        f = transition._column(ctx, 0, None, 4)[4]
+        f = transition._column(ctx, 0, 0, None, 4)[4]
         assert max(len(value.terms) for value in f.values()) > 1
         products, divisions = [], []
         mul, div = LCElement.__mul__, LCElement.__truediv__
@@ -437,6 +437,72 @@ class TestCost:
         assert all(min(pair) <= widest for pair in products), (widest, products)
         assert len(divisions) == len(out)
         assert divisions == [ctx.graph.degree_weight(z) for z in sorted(out)]
+
+
+class TestLightCone:
+    """Up to power N a column is formed only on the light cone of x: f_k on
+    the vertices within distance N - k of x."""
+
+    @staticmethod
+    def divisions(monkeypatch, call):
+        counted = []
+        div = LCElement.__truediv__
+
+        def counting_div(a, b):
+            counted.append(b)
+            return div(a, b)
+
+        monkeypatch.setattr(LCElement, "__truediv__", counting_div)
+        result = call()
+        monkeypatch.undo()
+        return result, len(counted)
+
+    @pytest.mark.parametrize(
+        "name, x, y, N, expected",
+        [
+            # On a path, f_k lives on the vertices of the parity of y - k
+            # within distance N - k of x: 1 + 2 + 1 + 1 for P^4(0, 0).
+            ("ex1", 0, 0, 4, 5),
+            ("ex1", 0, 2, 4, 6),
+            ("ex7", 0, 3, 7, 14),
+        ],
+    )
+    def test_one_division_per_vertex_of_the_cone(self, name, x, y, N, expected, monkeypatch):
+        graph, config = build_graph(load_spec(name))
+        with precision(config):
+            powers, count = self.divisions(
+                monkeypatch, lambda: transition_powers(TransitionContext(graph), x, y, N)
+            )
+            assert powers == reference_transition_powers(TransitionContext(graph), x, y, N)
+        assert count == expected
+
+    @pytest.mark.parametrize("name", ["ex1", "ex5", "ex7"])
+    def test_calls_within_and_past_the_horizon(self, name, monkeypatch):
+        # A column serves every power up to its horizon without forming
+        # anything new; a call past it equals that of a fresh context.
+        graph, config = build_graph(load_spec(name))
+        with precision(config):
+            ctx = TransitionContext(graph)
+            for N in (4, 2, 6, 3, 7):
+                powers, count = self.divisions(
+                    monkeypatch, lambda: transition_powers(ctx, 0, 1, N)
+                )
+                assert powers == transition_powers(TransitionContext(graph), 0, 1, N)
+                assert (count == 0) == (N in (2, 3))
+            restricted = transition_powers(ctx, 0, 1, 9, restrict=range(4))
+            fresh = transition_powers(TransitionContext(graph), 0, 1, 9, restrict=range(4))
+            assert restricted == fresh
+
+    def test_max_product_stays_on_the_cone(self, monkeypatch):
+        # Pi^4(0, 2) on ex1 forms the states 1, 3; 0, 2; 1; 0 only.
+        graph, config = build_graph(load_spec("ex1"))
+        with precision(config):
+            result, count = self.divisions(
+                monkeypatch, lambda: pi_element(TransitionContext(graph), 0, 2, 4)
+            )
+            value, path = reference_pi_element(TransitionContext(graph), 0, 2, 4, None)
+        assert result.path == path and result.value == value
+        assert count == 6
 
 
 class TestConsistencyWithCapacity:
