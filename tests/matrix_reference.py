@@ -31,6 +31,11 @@ MATRIX_COMMANDS = (
     "transition --x 0 --y 1 --n 3 --series 4",
     "transition --x 0 --y 0 --n 4 --restrict 2",
     "transition --x 0 --y 2 --n 4 --max-product",
+    "transition --x 0 --y 0 --n 4 --series 2",
+    "transition --x 1 --y 0 --n 3 --series 4 --restrict 2",
+    "transition --x 0 --y 1 --n 3 --series 3 --max-product",
+    "transition --x 0 --y 9 --n 2",
+    "transition --x 0 --y 9 --n 2 --max-product",
     "harnack --set 0,1,2",
     "superharmonic --u 1,1,1",
     "hardy --samples 2 --horizon 4",
