@@ -91,8 +91,6 @@ from .transition import (
     neumann_partial,
     nonvanishing_certificate,
     pi_element,
-    pn_element,
-    pn_restricted,
     restricted_decay_certificate,
     transition_powers,
 )

@@ -218,7 +218,13 @@ def spherical_capacity_limit(rule, sizes, field):
     """Exact limit (sum over k of 1/b(boundary B_{k+1}))^{-1} for a profile
     whose outward weights tend to infinity.  The summation stops once term
     valuations leave the window; the omitted tail is recorded in the
-    guarantee exponent."""
+    guarantee exponent.  Over Q(r) the sum is an infinite series in r, in
+    general not an element of Q(r), and nothing truncates it: refused."""
+    if field is RFElement:
+        raise PreconditionError(
+            "the capacity limit (sum over k of 1/b(boundary B_{k+1}))^{-1} is an "
+            "infinite series in r, in general not an element of Q(r)"
+        )
     cfg = active_precision()
     total = field.zero()
     anchor = None

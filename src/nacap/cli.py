@@ -48,8 +48,7 @@ from .transition import (
     TransitionContext,
     neumann_partial,
     pi_element,
-    pn_element,
-    pn_restricted,
+    transition_powers,
 )
 
 EXIT_OK = 0
@@ -213,13 +212,17 @@ def _cmd_transition(graph, args):
         result = pi_element(ctx, args.x, args.y, args.n, restrict=restrict)
         out["max_path_product"] = scalar_json(result.value)
         out["witness_path"] = list(result.path) if result.path is not None else None
-    elif restrict is not None:
-        out["pn"] = scalar_json(pn_restricted(ctx, restrict, args.x, args.y, args.n))
+        horizon = args.series
     else:
-        out["pn"] = scalar_json(pn_element(ctx, args.x, args.y, args.n))
-    if args.series is not None:
-        report = neumann_partial(ctx, args.x, args.y, args.series, restrict=restrict)
-        out["series"] = report.to_json()
+        horizon = max(args.n, args.series or 0)
+    if horizon is not None:
+        # One column serves P^n and the partial sum.
+        powers = transition_powers(ctx, args.x, args.y, horizon, restrict)
+        if not args.max_product:
+            out["pn"] = scalar_json(powers[args.n])
+        if args.series is not None:
+            report = neumann_partial(ctx, args.x, args.y, powers[: args.series + 1], restrict)
+            out["series"] = report.to_json()
     return out
 
 

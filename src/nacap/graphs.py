@@ -464,7 +464,7 @@ class WeightedGraph:
     callers.  Every public method is a pure function of the graph and the
     active PrecisionConfig: a degree b(v), and a layered graph's edge weight,
     is a field result truncated under that precision, so the neighbour and
-    degree caches are kept per precision, as transition columns are."""
+    degree caches are kept per precision."""
 
     def __init__(self, structure, field, measure=None):
         self._structure = structure

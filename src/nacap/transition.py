@@ -4,10 +4,10 @@ Matrix powers P^n(x, y) are exact sums over length-n paths, computed by
 repeated sparse application of the operator to a column: f_n = P^n e_y,
 and P^n(x, y) = f_n(x), with exact edge weights and one division per
 vertex: (Pf)(z) = (sum_w b(z, w) f(w)) / b(z).  Up to power N only the
-light cone of x is formed: f_k on the vertices within distance N - k of x.
-A context caches columns only, once per active precision and (x, y,
-restriction), with the horizon N they were built for, so powers, partial
-sums and the non-decay search share them up to that horizon.
+light cone of x is formed: f_k on the vertices within distance N - k of x,
+and nothing at all when y lies outside it.  Nothing is stored between
+calls: each call builds the one column it reads, and a caller that needs
+several powers of one pair asks for them in one call.
 Pi^n(x, y) is the maximal single-path product, which controls P^n up to an
 infinitely large factor; its search is confined to the same light cone.
 Convergence of P^n to zero is never inferred from raw finite evidence: a
@@ -18,9 +18,9 @@ lower bound on a return probability of valuation 0.  Every p(x, y) is
 positive, so the leading terms of path products never cancel: the valuation
 of P^k(x0, x0) is the least sum of edge valuations over closed walks of k
 edges.  One min-plus walk recurrence gives those sums to the non-decay
-search, which builds a column only up to the first power where the sum is 0,
-and Karp's table to the minimum mean cycle, started from every vertex of the
-restriction at once.
+search, which builds the column of x0 only up to the first power where the
+sum is 0, and Karp's table to the minimum mean cycle, started from every
+vertex of the restriction at once.
 """
 
 from __future__ import annotations
@@ -33,14 +33,12 @@ from . import scalars
 from .dirichlet import dirichlet_inverse_apply
 from .errors import ConvergenceNotCertifiedError, HorizonExhaustedError, PreconditionError
 from .exact import Q
-from .field import INF, active_precision, guarantee_str, scalar_json
+from .field import INF, guarantee_str, scalar_json
 from .graphs import FactorialMonomialRule, MonomialRule
 
 __all__ = [
     "TransitionContext",
-    "pn_element",
     "pi_element",
-    "pn_restricted",
     "transition_powers",
     "neumann_partial",
     "neumann_inverse_check",
@@ -53,15 +51,11 @@ __all__ = [
 
 class TransitionContext:
     """A graph with its measure forced to m(x) = b(x), making I - Laplacian
-    row-stochastic: p(x, y) = b(x, y)/b(x).
-
-    Columns P^n e_y are kept per active PrecisionConfig: their elements are
-    truncated under it, so a context reused under a wider precision must
-    compute them afresh."""
+    row-stochastic: p(x, y) = b(x, y)/b(x).  It holds no state of its own;
+    the graph keeps its neighbour and degree caches per precision."""
 
     def __init__(self, graph):
         self.graph = graph.with_degree_measure()
-        self._columns: dict = {}  # PrecisionConfig -> {(x, y, restrict): column}
 
     @property
     def field(self):
@@ -127,45 +121,25 @@ def _light_cone(ctx: TransitionContext, x, N, restrict: Optional[frozenset]) -> 
     return cone
 
 
-def _column(ctx: TransitionContext, x, y, restrict: Optional[frozenset], N) -> list:
-    """[f_0, ..., f_H] for a horizon H >= N, f_k the restriction of P_R^k e_y
-    (R = restrict) to the light cone C_{H-k} of x, so f_n(x) = P_R^n(x, y)
-    for every n <= H.
-
-    The values are those of the whole column: a vertex kept at step k has
-    all its neighbours kept at step k - 1, one step wider in the cone, so
-    ``_apply`` forms the same products and sums in the same order there.
-    The column lives in ctx and serves every call with N <= H; a call past
-    H builds it afresh for horizon N."""
-    columns = ctx._columns.setdefault(active_precision(), {})
-    column = columns.get((x, y, restrict))
-    if column is None or len(column) <= N:
-        cone = _light_cone(ctx, x, N, restrict)
-        column = [{y: ctx.field.one()}]
-        for k in range(1, N + 1):
-            column.append(_apply(ctx, column[-1], cone[N - k]))
-        columns[(x, y, restrict)] = column
-    return column
-
-
 def transition_powers(ctx: TransitionContext, x, y, N, restrict=None) -> list:
     """[P^n(x, y) for n = 0..N], restricted to paths inside `restrict` when
-    given.  Exact dynamic programming, never dense matrix powers."""
+    given.  Exact dynamic programming, never dense matrix powers.
+
+    The column f_k is P_R^k e_y (R = restrict) on the light cone C_{N-k} of
+    x, so f_k(x) = P_R^k(x, y).  A vertex kept at step k has all its
+    neighbours kept at step k - 1, one step wider in the cone, so ``_apply``
+    forms there the products and sums of the whole column, in the same
+    order.  When y lies outside C_N, every power is 0 and no vertex is
+    formed."""
     restrict = _restriction(ctx, restrict, x, y)
+    cone = _light_cone(ctx, x, max(N, 0), restrict)
     zero = ctx.field.zero()
-    return [f.get(x, zero) for f in _column(ctx, x, y, restrict, N)[: max(N, 0) + 1]]
-
-
-def pn_element(ctx: TransitionContext, x, y, n):
-    """P^n(x, y): the sum over all length-n paths from x to y of the product
-    of transition probabilities."""
-    return transition_powers(ctx, x, y, n)[n]
-
-
-def pn_restricted(ctx: TransitionContext, K, x, y, n):
-    """P_K^n(x, y): as pn_element but with every path confined to K;
-    monotone in K and equal to P^n once K absorbs the relevant balls."""
-    return transition_powers(ctx, x, y, n, restrict=K)[n]
+    f = {y: ctx.field.one()} if y in cone[-1] else {}
+    powers = [f.get(x, zero)]
+    for k in range(1, N + 1):
+        f = _apply(ctx, f, cone[N - k])
+        powers.append(f.get(x, zero))
+    return powers
 
 
 @dataclass(frozen=True)
@@ -187,7 +161,7 @@ def pi_element(ctx: TransitionContext, x, y, n, restrict=None) -> MaxPathResult:
         return MaxPathResult(one, (x,)) if x == y else MaxPathResult(ctx.field.zero(), None)
     # States that cannot reach x in the remaining steps are never formed.
     cone = _light_cone(ctx, x, n, restrict)
-    current = {y: (ctx.field.one(), (y,))}
+    current = {y: (ctx.field.one(), (y,))} if y in cone[n] else {}
     for step in range(1, n + 1):
         nxt = {}
         for z in _targets(ctx, current, cone[n - step]):
@@ -358,7 +332,7 @@ def nonvanishing_certificate(
     for k, row in enumerate(islice(walks, max_power + 1)):
         if k < 2 or row.get(x0) != 0:
             continue
-        element = _column(ctx, x0, x0, restrict, k)[k][x0]
+        element = transition_powers(ctx, x0, x0, k, restrict)[k]
         c = element.standard_part()
         diff = element - ctx.field.rational(c)
         if scalars.is_zero_like(diff) or diff.sign() < 0:
@@ -401,13 +375,13 @@ class NeumannReport:
         return out
 
 
-def neumann_partial(ctx: TransitionContext, x, y, N, restrict=None) -> NeumannReport:
-    """sum_{n<=N} P^n(x, y) together with term valuations and a trend
-    verdict.  The series is reported convergent only when a sound decay
-    certificate exists; otherwise the trend is evidence, not a claim."""
+def neumann_partial(ctx: TransitionContext, x, y, powers, restrict=None) -> NeumannReport:
+    """sum_{n<=N} P^n(x, y), given `powers` = [P^0 ... P^N](x, y) from
+    transition_powers, together with term valuations and a trend verdict.
+    The series is reported convergent only when a sound decay certificate
+    exists; otherwise the trend is evidence, not a claim."""
     from .capacity import convergence_evidence
 
-    powers = transition_powers(ctx, x, y, N, restrict=restrict)
     total = ctx.field.zero()
     for element in powers:
         total = total + element
@@ -424,7 +398,7 @@ def neumann_partial(ctx: TransitionContext, x, y, N, restrict=None) -> NeumannRe
         trend = dict(trend, convergent=False if bound is not None else None)
     else:
         trend = dict(trend, convergent=True)
-    return NeumannReport(x, y, N, total, valuations, trend, certificate)
+    return NeumannReport(x, y, len(powers) - 1, total, valuations, trend, certificate)
 
 
 @dataclass(frozen=True)
@@ -433,16 +407,6 @@ class InverseCheckReport:
     N_used: int
     rate: object
     difference_valuations: dict
-
-    def to_json(self):
-        return {
-            "ok": self.ok,
-            "N_used": self.N_used,
-            "rate": str(self.rate),
-            "difference_valuations": {
-                str(v): guarantee_str(val) for v, val in self.difference_valuations.items()
-            },
-        }
 
 
 INVERSE_CHECK_MAX_TERMS = 400  # series terms summed before the check gives up
@@ -468,22 +432,16 @@ def neumann_inverse_check(
     members = set(K)
     f = {v: phi[v] for v in K if v in phi}
     total = dict(f)
-    n = 0
-    while n < INVERSE_CHECK_MAX_TERMS:
-        n += 1
+    for n in range(1, INVERSE_CHECK_MAX_TERMS + 1):
         f = _apply(ctx, f, members)
         for v, value in f.items():
             total[v] = total.get(v, zero) + value
         diffs = {v: total.get(v, zero) - inverse[v] for v in K}
-        if all(
-            not d or d.valuation >= target_valuation for d in diffs.values()
-        ):
-            return InverseCheckReport(
-                True, n, certificate.rate, {v: d.valuation for v, d in diffs.items()}
-            )
-    diffs = {v: total.get(v, zero) - inverse[v] for v in K}
+        ok = all(not d or d.valuation >= target_valuation for d in diffs.values())
+        if ok:
+            break
     return InverseCheckReport(
-        False, n, certificate.rate, {v: d.valuation for v, d in diffs.items()}
+        ok, n, certificate.rate, {v: d.valuation for v, d in diffs.items()}
     )
 
 

@@ -2,9 +2,9 @@
 
     PYTHONPATH=src python3 tests/matrix_reference.py
 
-Runs every matrix case in process, except the known ex9 defects, and writes
-its exit code, its stderr and the ``outputs`` block of its report (None
-when it exits nonzero) to ``tests/reference/matrix.json``.
+Runs every matrix case in process and writes its exit code, its stderr and
+the ``outputs`` block of its report (None when it exits nonzero) to
+``tests/reference/matrix.json``.
 ``test_cli.test_fixture_command_matrix`` holds each later run to that
 entry.  Rerun this only on purpose, and list every run whose entry
 changes.
@@ -43,12 +43,6 @@ MATRIX_COMMANDS = (
 )
 
 
-def is_ex9_limit(fixture, command):
-    """The ex9 capacity limit calls with_guarantee, which RFElement lacks
-    (ROADMAP item 3)."""
-    return fixture == "ex9" and command.split()[0] in ("classify", "capacity", "hardy")
-
-
 def case_id(fixture, command):
     return f"{fixture}-{command}"
 
@@ -69,8 +63,6 @@ def main():
     recorded = {}
     for fixture in FIXTURES:
         for command in MATRIX_COMMANDS:
-            if is_ex9_limit(fixture, command):
-                continue
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli_main(argv(fixture, command))

@@ -32,7 +32,6 @@ from nacap.transition import (
     TransitionContext,
     nonvanishing_certificate,
     pi_element,
-    pn_element,
     transition_powers,
 )
 from prop_suites import CRITERION_SUITES, run_suite
@@ -102,7 +101,7 @@ class TestCriterion2:
     def test_criterion_2_return_probability_and_lower_bound(self):
         graph, _ = example("ex4")
         ctx = TransitionContext(graph)
-        value = pn_element(ctx, 0, 0, 2)
+        value = transition_powers(ctx, 0, 0, 2)[2]
         ok_value = value == LCElement.rational(Fraction(1, 2))
         certificate = nonvanishing_certificate(ctx, 0)
         ok_cert = (

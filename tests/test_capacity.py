@@ -149,6 +149,25 @@ class TestClassifySpherical:
         # limit = (sum_k 1/(2^k eps^-k))^(-1) = (sum (eps/2)^k)^(-1) = 1 - eps/2
         assert verdict.limit.indistinguishable(ONE - LCElement.monomial(Fraction(1, 2), 1))
 
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            lambda: build_graph(load_spec("ex9"))[0],
+            lambda: make_path(MonomialRule(slope=-1), field=RFElement),
+            lambda: make_spherical(
+                SphericalProfile(MonomialRule(slope=-1), PowerSize(2)), field=RFElement
+            ),
+        ],
+        ids=["ex9", "monomial-path", "monomial-spheres"],
+    )
+    def test_positive_limit_over_rational_functions_is_refused(self, graph):
+        # ex9 has b(k, k+1) = 1/(k! r^k): its limit (sum k! r^k)^{-1} is no
+        # element of Q(r), and Q(r) cannot truncate a series.
+        with pytest.raises(PreconditionError, match="not an element of Q\\(r\\)"):
+            classify_spherical(graph())
+        with pytest.raises(PreconditionError, match="not an element of Q\\(r\\)"):
+            classify_generic(graph(), 0, 4)
+
     def test_unrecognized_profile_inconclusive(self):
         graph = make_path(lambda k: ONE + LCElement.monomial(k, 1))
         verdict = classify_spherical(graph, horizon=6)

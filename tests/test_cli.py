@@ -243,22 +243,15 @@ class TestCommands:
 # a documented exit code, never a traceback, and reproduces its recorded
 # exit code, stderr and outputs (tests/matrix_reference.py).  Guarantees may
 # rise, and values must agree below the recorded guarantee.
-EX9_LIMIT = pytest.mark.xfail(
-    strict=True,
-    raises=AttributeError,
-    reason="ROADMAP item 3: the ex9 capacity limit calls with_guarantee, which RFElement lacks",
-)
 MATRIX_REFERENCE = matrix_reference.load()
+MATRIX_CASES = [
+    pytest.param(fixture, command, id=matrix_reference.case_id(fixture, command))
+    for fixture in matrix_reference.FIXTURES
+    for command in matrix_reference.MATRIX_COMMANDS
+]
 
 
-def matrix_cases():
-    for fixture in matrix_reference.FIXTURES:
-        for command in matrix_reference.MATRIX_COMMANDS:
-            marks = EX9_LIMIT if matrix_reference.is_ex9_limit(fixture, command) else ()
-            yield pytest.param(fixture, command, marks=marks, id=matrix_reference.case_id(fixture, command))
-
-
-@pytest.mark.parametrize("fixture, command", matrix_cases())
+@pytest.mark.parametrize("fixture, command", MATRIX_CASES)
 def test_fixture_command_matrix(capsys, fixture, command):
     code, out, err = run(capsys, *matrix_reference.argv(fixture, command))
     assert code in (0, 2, 3, 4)

@@ -8,6 +8,7 @@ from itertools import combinations, islice, product as iproduct
 import pytest
 
 from nacap import transition
+from nacap.cli import main
 from nacap.errors import ConvergenceNotCertifiedError
 from nacap.field import INF, LCElement, PrecisionConfig, precision
 from nacap.ratfunc import RFElement
@@ -32,8 +33,6 @@ from nacap.transition import (
     neumann_partial,
     nonvanishing_certificate,
     pi_element,
-    pn_element,
-    pn_restricted,
     restricted_decay_certificate,
     row_sum,
     transition_powers,
@@ -74,6 +73,11 @@ def growing_ctx():
 def split_ctx():
     # b(0,1) = eps, b(1,2) = b(2,3) = 1: removing 1 cuts 0 off from 2-3.
     return TransitionContext(make_explicit(4, [(0, 1, EPS), (1, 2, ONE), (2, 3, ONE)]))
+
+
+def series(ctx, x, y, N, restrict=None):
+    """The Neumann report over the powers of one column up to N."""
+    return neumann_partial(ctx, x, y, transition_powers(ctx, x, y, N, restrict), restrict)
 
 
 def least_closed_walk_mean(ctx, K):
@@ -127,13 +131,13 @@ def min_return_valuation(n, top):
 class TestPowers:
     def test_identity(self):
         ctx = unit_ctx()
-        assert pn_element(ctx, 3, 3, 0) == ONE
-        assert pn_element(ctx, 3, 4, 0) == LCElement.zero()
+        assert transition_powers(ctx, 3, 3, 0)[0] == ONE
+        assert transition_powers(ctx, 3, 4, 0)[0] == LCElement.zero()
 
     def test_one_half_return_probability(self):
         # Flat start: P^2(0,0) = P(0,1) * P(1,0) = 1 * 1/2.
-        assert pn_element(two_flat_then_growing(), 0, 0, 2) == HALF
-        assert pn_element(unit_ctx(), 0, 0, 2) == HALF
+        assert transition_powers(two_flat_then_growing(), 0, 0, 2)[2] == HALF
+        assert transition_powers(unit_ctx(), 0, 0, 2)[2] == HALF
 
     def test_row_stochastic(self):
         for ctx in (unit_ctx(), two_flat_then_growing(), half_power_ctx()):
@@ -150,10 +154,10 @@ class TestPowers:
         # wider one must recompute them, as a fresh context does (67/4).
         ctx = half_power_ctx()
         with precision(window=2, max_terms=16):
-            lean = pn_element(ctx, 0, 0, 4)
+            lean = transition_powers(ctx, 0, 0, 4)[4]
         with precision(window=16, max_terms=128):
-            reused = pn_element(ctx, 0, 0, 4)
-            fresh = pn_element(half_power_ctx(), 0, 0, 4)
+            reused = transition_powers(ctx, 0, 0, 4)[4]
+            fresh = transition_powers(half_power_ctx(), 0, 0, 4)[4]
         assert lean.guarantee == Fraction(11, 4)
         assert fresh.guarantee == Fraction(67, 4)
         assert reused == fresh
@@ -169,14 +173,14 @@ class TestMaxPath:
         ctx = two_flat_then_growing()
         for x, y, n in iproduct((0, 1, 2), (0, 1, 2), (1, 2, 3, 4)):
             pi = pi_element(ctx, x, y, n).value
-            pn = pn_element(ctx, x, y, n)
+            pn = transition_powers(ctx, x, y, n)[n]
             diff = pn - pi
             assert not diff.terms or diff.terms[0][1] > 0
 
     def test_half_power_small_restriction(self):
         # L = {0,1}: P_L^2(0,0) = p(0,1) p(1,0) = eps^(1/2)/(1 + eps^(1/2)).
         ctx = half_power_ctx()
-        value = pn_restricted(ctx, (0, 1), 0, 0, 2)
+        value = transition_powers(ctx, 0, 0, 2, (0, 1))[2]
         oracle = LCElement.monomial(1, Fraction(1, 2)) * (ONE + LCElement.monomial(1, Fraction(1, 2))).inv()
         assert value.indistinguishable(oracle)
 
@@ -196,7 +200,7 @@ class TestMaxPath:
         L = tuple(range(5))
         with precision(window=2, max_terms=16):
             for n in (1, 2, 3, 4, 5, 6):
-                value = pn_restricted(ctx, L, 0, 0, 2 * n)
+                value = transition_powers(ctx, 0, 0, 2 * n, L)[-1]
                 assert value.valuation == min_return_valuation(n, top=4)
 
 
@@ -204,19 +208,19 @@ class TestRestriction:
     def test_monotone_and_saturating(self):
         ctx = two_flat_then_growing()
         x, y, n = 0, 2, 4
-        small = pn_restricted(ctx, range(3), x, y, n)
-        larger = pn_restricted(ctx, range(4), x, y, n)
-        full = pn_element(ctx, x, y, n)
+        small = transition_powers(ctx, x, y, n, range(3))[n]
+        larger = transition_powers(ctx, x, y, n, range(4))[n]
+        full = transition_powers(ctx, x, y, n)[n]
         for lo, hi in ((small, larger), (larger, full)):
             diff = hi - lo
             assert not diff.terms or diff.terms[0][1] > 0
-        saturated = pn_restricted(ctx, range(n + 2), x, y, n)
+        saturated = transition_powers(ctx, x, y, n, range(n + 2))[n]
         assert saturated.indistinguishable(full)
 
     def test_singleton_restriction(self):
         ctx = unit_ctx()
-        assert pn_restricted(ctx, (0,), 0, 0, 3) == LCElement.zero()
-        assert pn_restricted(ctx, (0,), 0, 0, 0) == ONE
+        assert transition_powers(ctx, 0, 0, 3, (0,))[3] == LCElement.zero()
+        assert transition_powers(ctx, 0, 0, 0, (0,))[0] == ONE
 
 
 class TestDecayCertificates:
@@ -235,7 +239,7 @@ class TestDecayCertificates:
         assert restricted_decay_certificate(ctx, (0, 2, 3)) is None
 
     def test_series_on_a_split_restriction_is_not_certified_convergent(self):
-        report = neumann_partial(split_ctx(), 2, 2, 6, restrict=(0, 2, 3))
+        report = series(split_ctx(), 2, 2, 6, restrict=(0, 2, 3))
         assert report.term_valuations == (0, INF, 0, INF, 0, INF, 0)
         assert report.trend["convergent"] is False
         assert report.certificate.to_json() == {
@@ -302,13 +306,13 @@ class TestNeumann:
         ctx = growing_ctx()
         target = (ONE - EPS).inv()
         with precision(window=12):
-            report = neumann_partial(ctx, 0, 0, 10)
+            report = series(ctx, 0, 0, 10)
             diff = report.partial_sum - target
         assert diff.valuation >= 3
         assert report.trend["convergent"] is True
 
     def test_unit_path_reports_nonconvergence(self):
-        report = neumann_partial(unit_ctx(), 0, 0, 8)
+        report = series(unit_ctx(), 0, 0, 8)
         assert report.trend["convergent"] is False
         assert report.certificate.to_json()["type"] == "nonvanishing_rational_bound"
 
@@ -342,8 +346,8 @@ class TestNeumann:
             assert all(v >= 2 for v in report.difference_valuations.values())
 
     def test_series_applies_p_once_per_power(self, monkeypatch):
-        # The partial sum computes P^1..P^4 e_0; the non-decay search hits
-        # at power 2 and reads it from the same column.
+        # The powers take P^1..P^4 e_0; the non-decay search hits at power 2
+        # and builds its own column of 0 up to there.
         applied = []
         apply = transition._apply
 
@@ -352,9 +356,13 @@ class TestNeumann:
             return apply(*args)
 
         monkeypatch.setattr(transition, "_apply", counting_apply)
-        report = neumann_partial(unit_ctx(), 0, 0, 4)
-        assert report.certificate.power == 2
+        ctx = unit_ctx()
+        powers = transition_powers(ctx, 0, 0, 4)
         assert len(applied) == 4
+        applied.clear()
+        report = neumann_partial(ctx, 0, 0, powers)
+        assert report.certificate.power == 2
+        assert len(applied) == 2
 
 
 class TestNonDecaySearch:
@@ -392,8 +400,8 @@ class TestNonDecaySearch:
     )
     @pytest.mark.parametrize("N", [2, 3])
     def test_series_without_a_zero_valuation_return_builds_no_column(self, spec, N, monkeypatch):
-        # No return probability has valuation 0, so the search extends no
-        # column past the N powers of the partial sum.
+        # No return probability has valuation 0, so the search builds no
+        # column: every application is one of the N powers of the sum.
         applied = []
         apply = transition._apply
 
@@ -404,9 +412,13 @@ class TestNonDecaySearch:
         monkeypatch.setattr(transition, "_apply", counting_apply)
         graph, config = build_graph(load_spec(spec) if isinstance(spec, str) else spec)
         with precision(config):
-            report = neumann_partial(TransitionContext(graph), 0, 0, N)
+            ctx = TransitionContext(graph)
+            powers = transition_powers(ctx, 0, 0, N)
+            assert len(applied) == N
+            applied.clear()
+            report = neumann_partial(ctx, 0, 0, powers)
         assert report.certificate is None
-        assert len(applied) == N
+        assert applied == []
 
 
 class TestCost:
@@ -415,7 +427,7 @@ class TestCost:
         # Every product has an edge weight as one operand, never two long
         # series, and every target vertex costs one division.
         ctx = TransitionContext(build_graph(load_spec(name))[0])
-        f = transition._column(ctx, 0, 0, None, 4)[4]
+        f = {0: transition_powers(ctx, 0, 0, 4)[4]}
         assert max(len(value.terms) for value in f.values()) > 1
         products, divisions = [], []
         mul, div = LCElement.__mul__, LCElement.__truediv__
@@ -477,9 +489,9 @@ class TestLightCone:
         assert count == expected
 
     @pytest.mark.parametrize("name", ["ex1", "ex5", "ex7"])
-    def test_calls_within_and_past_the_horizon(self, name, monkeypatch):
-        # A column serves every power up to its horizon without forming
-        # anything new; a call past it equals that of a fresh context.
+    def test_a_reused_context_costs_what_a_fresh_one_costs(self, name, monkeypatch):
+        # A context keeps no column: each call builds its own, with the
+        # values and the divisions of a call on a fresh context.
         graph, config = build_graph(load_spec(name))
         with precision(config):
             ctx = TransitionContext(graph)
@@ -487,11 +499,44 @@ class TestLightCone:
                 powers, count = self.divisions(
                     monkeypatch, lambda: transition_powers(ctx, 0, 1, N)
                 )
-                assert powers == transition_powers(TransitionContext(graph), 0, 1, N)
-                assert (count == 0) == (N in (2, 3))
+                fresh, fresh_count = self.divisions(
+                    monkeypatch, lambda: transition_powers(TransitionContext(graph), 0, 1, N)
+                )
+                assert powers == fresh
+                assert count == fresh_count > 0
             restricted = transition_powers(ctx, 0, 1, 9, restrict=range(4))
             fresh = transition_powers(TransitionContext(graph), 0, 1, 9, restrict=range(4))
             assert restricted == fresh
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            # One column up to power 6 serves P^4 and the partial sum; the
+            # restriction certifies decay, so no search runs.
+            ("transition --spec ex2 --x 0 --y 0 --n 4 --series 6 --restrict 3", 9),
+            # The powers up to 3 of the sum include P^2; no return has
+            # valuation 0, so the search builds nothing.
+            ("transition --spec ex5 --x 0 --y 0 --n 2 --series 3", 2),
+            # The search builds its own column of 0 up to power 2.
+            ("transition --spec ex7 --x 0 --y 0 --n 4 --series 4", 7),
+        ],
+    )
+    def test_a_report_builds_one_column(self, argv, expected, monkeypatch):
+        _, count = self.divisions(monkeypatch, lambda: main(argv.split()))
+        assert count == expected
+
+    @pytest.mark.parametrize("max_product", [False, True])
+    def test_a_target_outside_the_cone_forms_nothing(self, max_product):
+        # P^2(0, y) and Pi^2(0, y) vanish for y > 2, and the walk is never
+        # started from y, so the path is materialized up to level 3 only.
+        ctx = unit_ctx()
+        levels = ctx.graph._structure._starts
+        if max_product:
+            result = pi_element(ctx, 0, 1000, 2)
+            assert result.value == LCElement.zero() and result.path is None
+        else:
+            assert transition_powers(ctx, 0, 1000, 2) == [LCElement.zero()] * 3
+        assert len(levels) <= 5
 
     def test_max_product_stays_on_the_cone(self, monkeypatch):
         # Pi^4(0, 2) on ex1 forms the states 1, 3; 0, 2; 1; 0 only.
@@ -562,9 +607,9 @@ def assert_all_refine(computed, expected):
 
 
 class TestAgainstReference:
-    """Columns kept in the context and max-path products refine what the
-    per-edge, from-scratch reference computes, whatever the order of calls,
-    and give the same certificates and witness paths."""
+    """Powers, partial sums and max-path products on one context refine
+    what the per-edge, from-scratch reference computes, whatever the order
+    of calls, and give the same certificates and witness paths."""
 
     @pytest.mark.parametrize("index", range(17))
     def test_interleaved_calls_match_reference(self, index):
@@ -609,7 +654,7 @@ class TestAgainstReference:
                 if kind == "certificate":
                     assert nonvanishing_certificate(ctx, x, restrict=restrict) == bound
                     continue
-                report = neumann_partial(ctx, x, y, N, restrict)
+                report = series(ctx, x, y, N, restrict)
                 total = zero
                 for element in expected:
                     total = total + element
@@ -627,7 +672,7 @@ class TestAgainstReference:
             expected = reference_transition_powers(fresh, 1, 0, 8)
             assert_all_refine(transition_powers(ctx, 1, 0, 8), expected)
             reference = reference_transition_powers(fresh, 0, 0, 2)[2]
-            assert_refines(pn_element(ctx, 0, 0, 2), reference)
+            assert_refines(transition_powers(ctx, 0, 0, 2)[2], reference)
             returns = reference_transition_powers(fresh, 0, 0, 8)
             bound = reference_nonvanishing_certificate(fresh, 0, returns)
             assert nonvanishing_certificate(ctx, 0) == bound
