@@ -150,8 +150,9 @@ class TestPowers:
             assert powers[n] == LCElement.zero()
 
     def test_context_reused_under_a_wider_precision(self):
-        # The elements kept for the lean precision have guarantee 11/4; the
-        # wider one must recompute them, as a fresh context does (67/4).
+        # P^4(0, 0) has guarantee 11/4 under the lean precision.  Under the
+        # wider one the reused context, whose graph kept degrees for the
+        # lean one, reads what a fresh context reads (67/4).
         ctx = half_power_ctx()
         with precision(window=2, max_terms=16):
             lean = transition_powers(ctx, 0, 0, 4)[4]
