@@ -4,9 +4,9 @@
 
 Runs every matrix case in process and writes its exit code, its stderr and
 the ``outputs`` block of its report (None when it exits nonzero) to
-``tests/reference/matrix.json``.
-``test_cli.test_fixture_command_matrix`` holds each later run to that
-entry.  Rerun this only on purpose, and list every run whose entry
+``tests/reference/matrix.json``, and prints the id of every entry it adds
+or changes.  ``test_cli.test_fixture_command_matrix`` holds each later run
+to that entry.  Rerun this only on purpose, and list every run whose entry
 changes.
 """
 
@@ -16,10 +16,20 @@ import json
 import os
 import sys
 
-REFERENCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "reference", "matrix.json")
+HERE = os.path.dirname(os.path.abspath(__file__))
+REFERENCE = os.path.join(HERE, "reference", "matrix.json")
+SPECS = os.path.join(HERE, "reference", "specs")
 
-# Every fixture under every subcommand, at small horizons.
-FIXTURES = tuple(f"ex{i}" for i in range(1, 10))
+# Every fixture under every subcommand, at small horizons: the bundled
+# ex1..ex9 and the finite graphs under reference/specs.
+FIXTURES = (
+    *(f"ex{i}" for i in range(1, 10)),
+    "lc-explicit",
+    "rf-explicit",
+    "finite-path",
+    "finite-spherical",
+    "nested-tail",
+)
 MATRIX_COMMANDS = (
     "solve-dp --horizon 3",
     "solve-dp --horizon 3 --renormalized",
@@ -49,7 +59,8 @@ def case_id(fixture, command):
 
 def argv(fixture, command):
     name, *options = command.split()
-    return [name, "--spec", fixture, *options]
+    spec = os.path.join(SPECS, f"{fixture}.json")
+    return [name, "--spec", spec if os.path.exists(spec) else fixture, *options]
 
 
 def load():
@@ -60,6 +71,7 @@ def load():
 def main():
     from nacap.cli import main as cli_main
 
+    previous = load()
     recorded = {}
     for fixture in FIXTURES:
         for command in MATRIX_COMMANDS:
@@ -75,6 +87,11 @@ def main():
     with open(REFERENCE, "w") as handle:
         json.dump(recorded, handle, indent=1, sort_keys=True)
         handle.write("\n")
+    for key in sorted(recorded):
+        if key not in previous:
+            print(f"added: {key}")
+        elif recorded[key] != previous[key]:
+            print(f"changed: {key}")
     print(f"{len(recorded)} runs written to {REFERENCE}")
     return 0
 
