@@ -66,8 +66,7 @@ from .capacity import (
     CapacitySequence,
     CapacityVerdict,
     capacity_sequence,
-    classify_generic,
-    classify_spherical,
+    classify,
     monotone_compare,
     nash_williams,
     real_sweep,

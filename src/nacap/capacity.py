@@ -3,10 +3,11 @@
 The capacity type of an infinite graph (null / positive / divergent) is a
 limit statement in the order topology, so at a finite horizon it is only
 decidable through a certificate: an exact closed form for recognized
-weakly-spherically-symmetric profiles, a Nash-Williams subsequence whose
-continuation a rule certifies, or a positive lower bound on all edge
-weights.  Without one of those the verdict is inconclusive and carries the
-observed valuation trend as evidence, never a guess.
+weakly-spherically-symmetric profiles, or a positive lower bound on all
+edge weights of a finite graph.  Without one of those the verdict is
+inconclusive and carries the observed valuation trend as evidence, never a
+guess.  The type does not depend on the vertex, so one classifier serves
+every root.
 """
 
 from __future__ import annotations
@@ -58,18 +59,13 @@ def _check_root(graph, a):
 
 
 def capacity_sequence(graph, a, N) -> CapacitySequence:
-    """B_n = S_0 ∪ ... ∪ S_{n-1} grows by one sphere of one walk around a.
-    A ball that holds every vertex of a finite graph has no boundary, so
-    its capacity is exactly 0 (every graph here is connected)."""
+    """B_n = S_0 ∪ ... ∪ S_{n-1} grows by one sphere of one walk around a."""
     _check_root(graph, a)
     values = []
     ball = []
     for sphere in islice(graph.spheres(a), N):
         ball.extend(sphere)
-        if len(ball) == graph.vertex_count:
-            values.append(graph.field.zero())
-        else:
-            values.append(effective_capacity(graph, ball, a))
+        values.append(effective_capacity(graph, ball, a))
     diffs = []
     for small, large in zip(values[1:], values):
         step = large - small
@@ -206,7 +202,7 @@ class CapacityVerdict:
 
 
 # ---------------------------------------------------------------------------
-# Weakly spherically symmetric classification
+# Classification
 # ---------------------------------------------------------------------------
 
 
@@ -247,36 +243,51 @@ def spherical_capacity_limit(rule, sizes, field):
     )
 
 
-def classify_spherical(graph, horizon: int = 32) -> CapacityVerdict:
-    """Exact capacity type of a weakly spherically symmetric graph via the
-    trend of its outward sphere weights:
+def _edge_lower_bound(graph):
+    """The least edge weight of a finite graph, when certified positive."""
+    best = None
+    for x in range(graph.vertex_count):
+        for w in graph.neighbors(x).values():
+            if best is None or scalars.certainly_positive(best - w):
+                best = w
+    return best if best is not None and scalars.certainly_positive(best) else None
 
-      - some subsequence of b_plus tends to 0      -> null
-      - b_plus tends to infinity                   -> positive, with limit
-      - b_plus bounded below, and bounded above
-        infinitely often                           -> divergent
 
-    Unrecognized profiles yield an inconclusive verdict with horizon
-    evidence.
-    """
+def classify(graph, a, N) -> CapacityVerdict:
+    """Capacity type of the graph, a property independent of the vertex.
+    The certificates are tried in order of soundness:
+
+      - a recognized trend of the outward sphere weights b_plus decides it
+        exactly, through the capacity formula at the profile's root 0:
+          some subsequence of b_plus tends to 0      -> null
+          b_plus tends to infinity                   -> positive, with limit
+          b_plus bounded below, and bounded above
+          infinitely often                           -> divergent
+      - a finite graph's certified least edge weight rules out null
+        capacity: inconclusive with a bounded-below certificate;
+      - otherwise inconclusive, with the evidence of the capacity sequence
+        at root a up to horizon N."""
+    _check_root(graph, a)
     rule, field = graph.weight_rule, graph.field
-    if rule is None:
-        return _horizon_verdict(graph, 0, horizon)
-    trend = rule.trend(field)
-    rule_json = rule.to_json()
+    trend = rule.trend(field) if rule is not None else Trend(Trend.UNKNOWN)
     if trend.kind == Trend.TO_ZERO:
-        certificate = SphericalFormulaCertificate(rule_json, trend.kind)
+        certificate = SphericalFormulaCertificate(rule.to_json(), trend.kind)
         return CapacityVerdict(NULL, root=0, certificate=certificate)
     if trend.kind == Trend.TO_INFINITY:
         limit, terms = spherical_capacity_limit(rule, graph.sphere_sizes, field)
-        certificate = SphericalFormulaCertificate(rule_json, trend.kind, terms_summed=terms)
+        certificate = SphericalFormulaCertificate(rule.to_json(), trend.kind, terms_summed=terms)
         return CapacityVerdict(POSITIVE, root=0, limit=limit, certificate=certificate)
     if trend.kind == Trend.TWO_SIDED:
         certificate = SphericalFormulaCertificate(
-            rule_json, trend.kind, lower=trend.lower, upper=trend.upper
+            rule.to_json(), trend.kind, lower=trend.lower, upper=trend.upper
         )
         return CapacityVerdict(DIVERGENT, root=0, certificate=certificate)
-    return _horizon_verdict(graph, 0, horizon)
+    if graph.is_finite and (bound := _edge_lower_bound(graph)) is not None:
+        return CapacityVerdict(INCONCLUSIVE, root=a, certificate=BoundedBelowCertificate(bound))
+    sequence = capacity_sequence(graph, a, N)
+    evidence = convergence_evidence(sequence.difference_valuations)
+    certificate = HorizonEvidenceCertificate(sequence.difference_valuations, evidence)
+    return CapacityVerdict(INCONCLUSIVE, root=a, certificate=certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -338,50 +349,6 @@ def nash_williams(graph, a, N) -> Optional[NashWilliamsCertificate]:
                 provable=rule_backed,
             )
     return None
-
-
-# ---------------------------------------------------------------------------
-# Generic classification
-# ---------------------------------------------------------------------------
-
-
-def _edge_lower_bound(graph):
-    """The least edge weight of a finite graph, when certified positive."""
-    if not graph.is_finite:
-        return None
-    best = None
-    for x in range(graph.vertex_count):
-        for w in graph.neighbors(x).values():
-            if best is None or scalars.certainly_positive(best - w):
-                best = w
-    return best if best is not None and scalars.certainly_positive(best) else None
-
-
-def _horizon_verdict(graph, a, N) -> CapacityVerdict:
-    sequence = capacity_sequence(graph, a, N)
-    evidence = convergence_evidence(sequence.difference_valuations)
-    certificate = HorizonEvidenceCertificate(sequence.difference_valuations, evidence)
-    return CapacityVerdict(INCONCLUSIVE, root=a, certificate=certificate)
-
-
-def classify_generic(graph, a, N) -> CapacityVerdict:
-    """Certificate-based classification at root a and horizon N.
-
-    Order of soundness: recognized spherical profile (exact), certified
-    least edge weight of a finite graph (rules out null; reported as
-    inconclusive with a bounded-below certificate), else horizon evidence
-    only.  The verdict is a property of the graph, not of the root.  Past
-    the first step the rule is absent or its trend unknown, so neither a
-    provable Nash-Williams subsequence (it needs a to_zero trend) nor a
-    rule's lower bound on the weights (a two_sided trend) can apply."""
-    _check_root(graph, a)
-    rule = graph.weight_rule
-    if rule is not None and rule.trend(graph.field).kind != Trend.UNKNOWN:
-        return classify_spherical(graph, horizon=N)
-    bound = _edge_lower_bound(graph)
-    if bound is not None:
-        return CapacityVerdict(INCONCLUSIVE, root=a, certificate=BoundedBelowCertificate(bound))
-    return _horizon_verdict(graph, a, N)
 
 
 # ---------------------------------------------------------------------------

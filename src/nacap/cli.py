@@ -26,13 +26,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .capacity import (
-    capacity_sequence,
-    classify_generic,
-    classify_spherical,
-    nash_williams,
-    real_sweep,
-)
+from .capacity import capacity_sequence, classify, nash_williams, real_sweep
 from .dirichlet import green_matrix, solve_dp, solve_renormalized
 from .errors import PrecisionError, PreconditionError, SpecFileError
 from .field import INF, guarantee_str, precision, scalar_json
@@ -166,7 +160,7 @@ def _cmd_solve_dp(graph, args):
 
 def _cmd_capacity(graph, args):
     sequence = capacity_sequence(graph, args.root, args.horizon)
-    verdict = classify_generic(graph, args.root, args.horizon)
+    verdict = classify(graph, args.root, args.horizon)
     return {
         "root": sequence.root,
         "values": [scalar_json(v) for v in sequence.values],
@@ -176,7 +170,9 @@ def _cmd_capacity(graph, args):
 
 
 def _cmd_classify(graph, args):
-    return {"verdict": classify_spherical(graph, horizon=args.horizon).to_json()}
+    # The horizon bounds only the evidence branch, which no spec reaches:
+    # each builds a finite graph or a weight rule with a trend.
+    return {"verdict": classify(graph, 0, 16).to_json()}
 
 
 def _cmd_nash_williams(graph, args):
@@ -254,7 +250,7 @@ def _cmd_superharmonic(graph, args):
 
 
 def _cmd_hardy(graph, args):
-    verdict = classify_spherical(graph, horizon=args.horizon)
+    verdict = classify(graph, 0, args.horizon)
     weight = hardy_construct(graph, verdict, horizon=args.horizon)
     samples = [
         solve_dp(graph, graph.ball(args.root, n), args.root).values
@@ -325,8 +321,7 @@ def _build_parser():
     p.add_argument("--root", type=int, default=0)
     p.add_argument("--horizon", type=_positive, required=True)
 
-    p = sub.add_parser("classify", parents=[common], help="capacity type from the weight profile")
-    p.add_argument("--horizon", type=_positive, default=16)
+    sub.add_parser("classify", parents=[common], help="capacity type and its certificate")
 
     p = sub.add_parser("nash-williams", parents=[common], help="null-capacity subsequence search")
     p.add_argument("--root", type=int, default=0)

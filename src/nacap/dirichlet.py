@@ -142,9 +142,20 @@ def solve_dp(graph, K, a) -> DirichletSolution:
     finite connected set K with root a.
 
     The solution satisfies 0 < v <= 1 on K (verified), and its energy equals
-    the effective capacity of a within K."""
+    the effective capacity of a within K.  A K that holds every vertex of a
+    finite graph has no boundary: v = 1 on K and the capacity is exactly 0."""
     order = _bfs_order(graph, K, a)
     one = graph.field.one()
+    if len(order) == graph.vertex_count:
+        zero = graph.field.zero()
+        return DirichletSolution(
+            vertices=tuple(order),
+            root=a,
+            values=dict.fromkeys(order, one),
+            normalization="potential",
+            energy=zero,
+            capacity=zero,
+        )
     values = {a: one, **_solve(graph, order[1:], lambda x: graph.weight(x, a))}
     for x in order[1:]:
         v = values[x]

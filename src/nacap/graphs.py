@@ -305,15 +305,15 @@ class SphericalProfile:
     b_minus: object = None
 
 
-# -- measures -----------------------------------------------------------------
+# -- measures: each answers m(v) on the graph it measures ----------------------
 
 
 @dataclass(frozen=True)
 class ConstantMeasure:
     constant: Fraction = Q(1)
 
-    def value(self, v: int, field):
-        return field.rational(self.constant)
+    def value(self, v: int, graph):
+        return graph.field.rational(self.constant)
 
     def to_json(self):
         return {"rule": "const", "value": str(self.constant)}
@@ -324,16 +324,19 @@ class ListMeasure:
     literals: Tuple[str, ...]
     default: str = "1"
 
-    def value(self, v: int, field):
+    def value(self, v: int, graph):
         text = self.literals[v] if v < len(self.literals) else self.default
-        return field.from_literal(text)
+        return graph.field.from_literal(text)
 
     def to_json(self):
         return {"rule": "list", "values": list(self.literals), "default": self.default}
 
 
 class DegreeMeasure:
-    """m(x) = b(x); resolved by the graph, which knows the degrees."""
+    """m(x) = b(x), the degree of x."""
+
+    def value(self, v: int, graph):
+        return graph.degree_weight(v)
 
     def to_json(self):
         return {"rule": "degree"}
@@ -519,9 +522,7 @@ class WeightedGraph:
         return self._degree[v]
 
     def measure(self, v: int):
-        if isinstance(self.measure_rule, DegreeMeasure):
-            return self.degree_weight(v)
-        return self.measure_rule.value(v, self.field)
+        return self.measure_rule.value(v, self)
 
     # -- balls and boundaries -------------------------------------------------
 

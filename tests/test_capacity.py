@@ -33,8 +33,7 @@ from nacap.capacity import (
     POSITIVE,
     CapacitySequence,
     capacity_sequence,
-    classify_generic,
-    classify_spherical,
+    classify,
     monotone_compare,
     nash_williams,
     real_sweep,
@@ -100,42 +99,42 @@ class TestCapacitySequence:
                 assert cap.indistinguishable(path_series_capacity(graph, 0, n))
 
 
-class TestClassifySpherical:
+class TestClassifyByTrend:
     def test_decaying_is_null(self):
-        verdict = classify_spherical(decaying_path())
+        verdict = classify(decaying_path(), 0, 8)
         assert verdict.kind == NULL
         assert verdict.certificate.trend_kind == "to_zero"
 
     def test_growing_is_positive_with_exact_limit(self):
-        verdict = classify_spherical(growing_path())
+        verdict = classify(growing_path(), 0, 8)
         assert verdict.kind == POSITIVE
         assert verdict.limit.indistinguishable(ONE - EPS)
         assert verdict.limit.terms == (ONE - EPS).terms
 
     def test_constant_is_divergent(self):
-        verdict = classify_spherical(unit_path())
+        verdict = classify(unit_path(), 0, 8)
         assert verdict.kind == DIVERGENT
         assert verdict.certificate.lower == ONE
         assert verdict.certificate.upper == ONE
 
     def test_half_power_is_divergent_bounded_between_eps_and_one(self):
-        verdict = classify_spherical(make_path(HalfPowerRule()))
+        verdict = classify(make_path(HalfPowerRule()), 0, 8)
         assert verdict.kind == DIVERGENT
         assert verdict.certificate.lower == EPS
         assert verdict.certificate.upper == ONE
 
     def test_factorial_weights_null(self):
-        verdict = classify_spherical(make_path(FactorialMonomialRule()))
+        verdict = classify(make_path(FactorialMonomialRule()), 0, 8)
         assert verdict.kind == NULL
 
     def test_inverted_factorial_weights_positive(self):
-        verdict = classify_spherical(make_path(FactorialMonomialRule(invert=True)))
+        verdict = classify(make_path(FactorialMonomialRule(invert=True)), 0, 8)
         assert verdict.kind == POSITIVE
 
     def test_limit_matches_capacity_sequence(self):
         # cap_n approaches the formula limit: the difference has valuation n,
         # and once that leaves the window the two become indistinguishable.
-        verdict = classify_spherical(growing_path())
+        verdict = classify(growing_path(), 0, 8)
         seq = capacity_sequence(growing_path(), 0, 12)
         for n, cap in enumerate(seq.values, start=1):
             assert (cap - verdict.limit).valuation == n
@@ -144,7 +143,7 @@ class TestClassifySpherical:
 
     def test_spherical_graph_profile(self):
         profile = SphericalProfile(MonomialRule(slope=-1), PowerSize(2))
-        verdict = classify_spherical(make_spherical(profile))
+        verdict = classify(make_spherical(profile), 0, 8)
         assert verdict.kind == POSITIVE
         # limit = (sum_k 1/(2^k eps^-k))^(-1) = (sum (eps/2)^k)^(-1) = 1 - eps/2
         assert verdict.limit.indistinguishable(ONE - LCElement.monomial(Fraction(1, 2), 1))
@@ -163,15 +162,14 @@ class TestClassifySpherical:
     def test_positive_limit_over_rational_functions_is_refused(self, graph):
         # ex9 has b(k, k+1) = 1/(k! r^k): its limit (sum k! r^k)^{-1} is no
         # element of Q(r), and Q(r) cannot truncate a series.
-        with pytest.raises(PreconditionError, match="not an element of Q\\(r\\)"):
-            classify_spherical(graph())
-        with pytest.raises(PreconditionError, match="not an element of Q\\(r\\)"):
-            classify_generic(graph(), 0, 4)
+        for root in (0, 3):
+            with pytest.raises(PreconditionError, match="not an element of Q\\(r\\)"):
+                classify(graph(), root, 4)
 
-    def test_unrecognized_profile_inconclusive(self):
-        graph = make_path(lambda k: ONE + LCElement.monomial(k, 1))
-        verdict = classify_spherical(graph, horizon=6)
-        assert verdict.kind == INCONCLUSIVE
+    def test_verdict_is_read_at_the_profile_root(self):
+        for graph in (decaying_path(), growing_path(), unit_path()):
+            assert classify(graph, 3, 4) == classify(graph, 0, 4)
+            assert classify(graph, 3, 4).root == 0
 
 
 class TestNashWilliams:
@@ -194,28 +192,50 @@ class TestNashWilliams:
             assert cert is not None and cert.provable
 
 
-class TestClassifyGeneric:
-    def test_decaying_null(self):
-        assert classify_generic(decaying_path(), 0, 10).kind == NULL
-
-    def test_half_power_divergent(self):
-        assert classify_generic(make_path(HalfPowerRule()), 0, 10).kind == DIVERGENT
-
+class TestClassifyWithoutTrend:
     def test_rational_explicit_graph_bounded_below(self):
         g = make_explicit(
             4,
             [(0, 1, ONE), (1, 2, LCElement.rational(Fraction(1, 3))), (2, 3, ONE)],
         )
-        verdict = classify_generic(g, 0, 3)
-        assert verdict.kind == INCONCLUSIVE
+        verdict = classify(g, 2, 3)
+        assert verdict.kind == INCONCLUSIVE and verdict.root == 2
         assert verdict.certificate.to_json()["type"] == "bounded_below"
         assert verdict.certificate.bound == LCElement.rational(Fraction(1, 3))
 
+    @pytest.mark.parametrize(
+        "graph, bound",
+        [
+            (lambda: make_path(ExplicitListRule(("1", "1*e^(1)", "2"))), EPS),
+            (
+                lambda: make_path(ExplicitListRule(("1", "1*e^(1)"), ExplicitListRule(("9", "9", "2")))),
+                EPS,
+            ),
+            # Each edge from S_1 to S_2 carries b_plus(1) / #S_2 = eps / 3.
+            (
+                lambda: make_spherical(
+                    SphericalProfile(ExplicitListRule(("1", "1*e^(1)", "2")), ListSize((1, 2, 3, 2)))
+                ),
+                LCElement.monomial(Fraction(1, 3), 1),
+            ),
+        ],
+        ids=["path", "nested-tail", "spheres"],
+    )
+    def test_finite_list_is_bounded_below_without_a_solve(self, graph, bound, monkeypatch):
+        solves = []
+        solve_dp = dirichlet.solve_dp
+        monkeypatch.setattr(dirichlet, "solve_dp", lambda *args: solves.append(args) or solve_dp(*args))
+        verdict = classify(graph(), 0, 6)
+        assert verdict.certificate.to_json()["type"] == "bounded_below"
+        assert verdict.certificate.bound == bound
+        assert solves == []
+
     def test_unknown_rule_horizon_evidence(self):
         graph = make_path(lambda k: ONE + LCElement.monomial(k + 1, 1))
-        verdict = classify_generic(graph, 0, 6)
+        verdict = classify(graph, 0, 6)
         assert verdict.kind == INCONCLUSIVE
         assert verdict.certificate.to_json()["type"] == "horizon_evidence"
+        assert len(verdict.certificate.difference_valuations) == 5
 
 
 class TestMonotoneCompare:
@@ -469,6 +489,6 @@ class TestExhaustionWalk:
     @pytest.mark.parametrize("root", (-1, 4))
     def test_root_outside_a_finite_graph_is_refused(self, root):
         graph = make_explicit(4, [(0, 1, ONE), (1, 2, EPS), (2, 3, ONE)])
-        for driver in (classify_generic, capacity_sequence, nash_williams):
+        for driver in (classify, capacity_sequence, nash_williams):
             with pytest.raises(HorizonExhaustedError, match=f"root vertex {root} outside the graph"):
                 driver(graph, root, 3)

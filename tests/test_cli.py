@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import nacap
-from nacap import cli
+from nacap import cli, dirichlet
 from nacap.cli import main
 from nacap.specfile import build_graph, load_spec
 
@@ -263,6 +263,39 @@ def test_fixture_command_matrix(capsys, fixture, command):
         assert checker.compare_outputs(reference["outputs"], report["outputs"], series) == []
 
 
+class TestOneClassifier:
+    """`classify`, `capacity` and `hardy` read the capacity type from one
+    classifier, whatever the root and horizon of the call."""
+
+    @pytest.mark.parametrize("fixture", matrix_reference.FIXTURES)
+    def test_classify_and_capacity_report_one_verdict(self, capsys, fixture):
+        runs = [
+            run(capsys, *matrix_reference.argv(fixture, command))
+            for command in ("classify", "capacity --horizon 3")
+        ]
+        (classify_code, classify_out, classify_err), (code, out, err) = runs
+        assert (classify_code, classify_err) == (code, err)
+        if code == 0:
+            verdict = json.loads(classify_out)["outputs"]["verdict"]
+            assert verdict == json.loads(out)["outputs"]["verdict"]
+
+    @pytest.mark.parametrize("fixture", matrix_reference.FIXTURES[9:])
+    def test_hardy_on_a_finite_graph_refuses_before_any_solve(self, capsys, monkeypatch, fixture):
+        solves = []
+        solve_dp = dirichlet.solve_dp
+
+        def counted(*args):
+            solves.append(args)
+            return solve_dp(*args)
+
+        monkeypatch.setattr(dirichlet, "solve_dp", counted)
+        monkeypatch.setattr(cli, "solve_dp", counted)
+        code, out, err = run(capsys, *matrix_reference.argv(fixture, "hardy --samples 2 --horizon 4"))
+        assert (code, out) == (4, "")
+        assert "no Hardy weight certificate for verdict kind 'inconclusive'" in err
+        assert solves == []
+
+
 class TestDeterminismAndErrors:
     def test_byte_identical_reports(self, capsys):
         args = ("capacity", "--spec", "ex1", "--root", "0", "--horizon", "6")
@@ -462,8 +495,8 @@ REUSE_SEQUENCE = (
     "classify --spec ex2 --json --human",
     "classify --spec ex2 --human",
     "capacity --spec ex1 --horizon 4 --min-guarantee 1000",
-    "classify --spec ex5 --horizon 3",
-    "classify --spec ex5",
+    "hardy --spec ex2 --samples 2 --horizon 4",
+    "hardy --spec ex2 --samples 2",
     "classify --spec /does/not/exist.json",
     "transition --spec ex1 --x 0 --y 0 --n 2",
 )
@@ -505,7 +538,7 @@ class TestParserReuse:
         assert fresh.main(["classify", "--spec", "ex2"]) == 0
         assert "nacap" in built
         count = len(built)
-        assert fresh.main(["classify", "--spec", "ex1", "--horizon", "3"]) == 0
+        assert fresh.main(["capacity", "--spec", "ex1", "--horizon", "3"]) == 0
         assert len(built) == count
 
 

@@ -10,8 +10,10 @@ from nacap.errors import (
     DisconnectedSetError,
     NacapError,
     PrecisionExhaustedError,
+    PreconditionError,
 )
 from nacap.field import LCElement, precision
+from nacap.ratfunc import RFElement
 from nacap.graphs import (
     ConstantRule,
     ListMeasure,
@@ -98,6 +100,20 @@ class TestSolveDP:
         cap = effective_capacity(g, g.ball(0, 2), 0)
         oracle = (ONE + EPS.inv()).inv()
         assert cap.indistinguishable(oracle)
+
+
+    @pytest.mark.parametrize("field", [LCElement, RFElement], ids=["levi-civita", "rational-function"])
+    def test_ball_that_fills_a_finite_graph(self, field):
+        literals = [(0, 1, "1"), (1, 2, "1*e^(1)"), (2, 3, "2"), (3, 4, "1 + 1*e^(2)"), (0, 3, "1*e^(3)")]
+        g = make_explicit(5, [(x, y, field.from_literal(w)) for x, y, w in literals], field=field)
+        K = g.ball(0, 3)
+        sol = solve_dp(g, K, 0)
+        assert sol.vertices == (0, 1, 3, 2, 4)
+        assert sol.values == dict.fromkeys(K, field.one())
+        assert sol.capacity == sol.energy == field.zero()
+        for solver in (solve_renormalized, green_matrix):
+            with pytest.raises(PreconditionError, match="the boundary of K is empty"):
+                solver(g, K, 0)
 
 
 class TestRenormalized:
@@ -293,6 +309,24 @@ def seeded_cases(seed, graphs):
                 break
 
 
+def assert_refines_whole_graph_ball(compute, result, expected):
+    """On a ball that is the whole graph the library knows v = 1 and the
+    capacity 0 exactly, where the elimination oracle carries finite
+    guarantees: each value agrees with the oracle's below its guarantee,
+    and its guarantee is at least as high.  The Green column has no
+    solution; the oracle refuses it as not certified nonzero or as a
+    boundary that is empty."""
+    if compute is green_matrix:
+        assert result is PreconditionError
+        assert expected in (PreconditionError, PrecisionExhaustedError)
+        return
+    (values, capacity), (expected_values, expected_capacity) = result, expected
+    assert values.keys() == expected_values.keys()
+    pairs = [(values[x], expected_values[x]) for x in values] + [(capacity, expected_capacity)]
+    for value, old in pairs:
+        assert value.indistinguishable(old) and value.guarantee >= old.guarantee
+
+
 class TestAgainstReference:
     """Symmetric elimination reproduces the general elimination with a pivot
     search that it replaced: the same terms, the same guarantees and the
@@ -310,7 +344,11 @@ class TestAgainstReference:
                     (green_matrix, reference_green_column),
                 ):
                     result = outcome(lambda: compute(graph, K, a))
-                    assert result == outcome(lambda: reference(graph, K, a))
+                    expected = outcome(lambda: reference(graph, K, a))
+                    if len(K) == graph.vertex_count:
+                        assert_refines_whole_graph_ball(compute, result, expected)
+                    else:
+                        assert result == expected
                     solved += not isinstance(result, type)
                 result = outcome(lambda: dirichlet_inverse_apply(graph, K, phi))
                 assert result == outcome(lambda: reference_inverse_apply(graph, K, phi))

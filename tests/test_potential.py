@@ -14,7 +14,7 @@ from nacap.graphs import (
     make_explicit,
     make_path,
 )
-from nacap.capacity import classify_spherical
+from nacap.capacity import classify
 from nacap.dirichlet import energy, laplacian_apply, solve_dp
 from nacap.potential import (
     SuperharmonicReport,
@@ -218,7 +218,7 @@ class TestEnergyDifferenceBound:
 class TestHardy:
     def test_point_mass_on_positive_capacity_path(self):
         g = make_path(MonomialRule(slope=-1))
-        verdict = classify_spherical(g)
+        verdict = classify(g, 0, 8)
         omega = hardy_construct(g, verdict)
         assert omega.provenance == "point_mass"
         assert omega.weights[0].indistinguishable(ONE - EPS)
@@ -234,13 +234,13 @@ class TestHardy:
 
     def test_null_capacity_refuses(self):
         g = make_path(MonomialRule())
-        verdict = classify_spherical(g)
+        verdict = classify(g, 0, 8)
         with pytest.raises(HardyConstructionError):
             hardy_construct(g, verdict)
 
     def test_divergent_path_gets_strictly_positive_weight(self):
         g = unit_path()
-        verdict = classify_spherical(g)
+        verdict = classify(g, 0, 8)
         omega = hardy_construct(g, verdict, horizon=6)
         assert omega.provenance == "spherical_lower_bounds"
         assert len(omega.weights) == 6
@@ -278,9 +278,9 @@ class TestSuperharmonicCapacityConsistency:
         # A positive superharmonic function with a strictly positive
         # Laplacian somewhere rules out null capacity; the unit path is
         # classified divergent, never null.
-        from nacap.capacity import NULL, classify_spherical
+        from nacap.capacity import NULL, classify
 
         g = unit_path()
         construction = construct_superharmonic(g, 0, ONE, EPS, radius=5)
         assert any(v.terms for v in construction.report.laplacian.values())
-        assert classify_spherical(g).kind != NULL
+        assert classify(g, 0, 8).kind != NULL

@@ -553,19 +553,19 @@ class TestLightCone:
 
 class TestConsistencyWithCapacity:
     def test_full_decay_cooccurs_with_positive_capacity(self):
-        from nacap.capacity import POSITIVE, classify_spherical
+        from nacap.capacity import POSITIVE, classify
 
         ctx = growing_ctx()
         assert full_decay_certificate(ctx) is not None
-        assert classify_spherical(ctx.graph).kind == POSITIVE
+        assert classify(ctx.graph, 0, 8).kind == POSITIVE
 
     def test_restricted_decay_cooccurs_with_not_null(self):
-        from nacap.capacity import NULL, classify_spherical
+        from nacap.capacity import NULL, classify
 
         ctx = half_power_ctx()
         for top in (2, 3, 5):
             assert restricted_decay_certificate(ctx, range(top)) is not None
-        assert classify_spherical(ctx.graph).kind != NULL
+        assert classify(ctx.graph, 0, 8).kind != NULL
 
     def test_decay_rate_is_pair_independent(self):
         # The restricted certificate covers every pair: valuations grow for
