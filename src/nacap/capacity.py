@@ -263,8 +263,8 @@ def classify(graph, a, N) -> CapacityVerdict:
           b_plus tends to infinity                   -> positive, with limit
           b_plus bounded below, and bounded above
           infinitely often                           -> divergent
-      - a finite graph's certified least edge weight rules out null
-        capacity: inconclusive with a bounded-below certificate;
+      - a finite graph's certified least edge weight: inconclusive, with
+        a bounded-below certificate;
       - otherwise inconclusive, with the evidence of the capacity sequence
         at root a up to horizon N."""
     _check_root(graph, a)

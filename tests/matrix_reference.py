@@ -22,14 +22,8 @@ SPECS = os.path.join(HERE, "reference", "specs")
 
 # Every fixture under every subcommand, at small horizons: the bundled
 # ex1..ex9 and the finite graphs under reference/specs.
-FIXTURES = (
-    *(f"ex{i}" for i in range(1, 10)),
-    "lc-explicit",
-    "rf-explicit",
-    "finite-path",
-    "finite-spherical",
-    "nested-tail",
-)
+SPEC_FILES = ("lc-explicit", "rf-explicit", "finite-path", "finite-spherical", "nested-tail")
+FIXTURES = (*(f"ex{i}" for i in range(1, 10)), *SPEC_FILES)
 MATRIX_COMMANDS = (
     "solve-dp --horizon 3",
     "solve-dp --horizon 3 --renormalized",
@@ -59,8 +53,8 @@ def case_id(fixture, command):
 
 def argv(fixture, command):
     name, *options = command.split()
-    spec = os.path.join(SPECS, f"{fixture}.json")
-    return [name, "--spec", spec if os.path.exists(spec) else fixture, *options]
+    spec = os.path.join(SPECS, f"{fixture}.json") if fixture in SPEC_FILES else fixture
+    return [name, "--spec", spec, *options]
 
 
 def load():

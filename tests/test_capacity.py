@@ -224,7 +224,12 @@ class TestClassifyWithoutTrend:
     def test_finite_list_is_bounded_below_without_a_solve(self, graph, bound, monkeypatch):
         solves = []
         solve_dp = dirichlet.solve_dp
-        monkeypatch.setattr(dirichlet, "solve_dp", lambda *args: solves.append(args) or solve_dp(*args))
+
+        def counted(*args):
+            solves.append(args)
+            return solve_dp(*args)
+
+        monkeypatch.setattr(dirichlet, "solve_dp", counted)
         verdict = classify(graph(), 0, 6)
         assert verdict.certificate.to_json()["type"] == "bounded_below"
         assert verdict.certificate.bound == bound

@@ -279,7 +279,7 @@ class TestOneClassifier:
             verdict = json.loads(classify_out)["outputs"]["verdict"]
             assert verdict == json.loads(out)["outputs"]["verdict"]
 
-    @pytest.mark.parametrize("fixture", matrix_reference.FIXTURES[9:])
+    @pytest.mark.parametrize("fixture", matrix_reference.SPEC_FILES)
     def test_hardy_on_a_finite_graph_refuses_before_any_solve(self, capsys, monkeypatch, fixture):
         solves = []
         solve_dp = dirichlet.solve_dp

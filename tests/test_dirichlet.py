@@ -101,7 +101,6 @@ class TestSolveDP:
         oracle = (ONE + EPS.inv()).inv()
         assert cap.indistinguishable(oracle)
 
-
     @pytest.mark.parametrize("field", [LCElement, RFElement], ids=["levi-civita", "rational-function"])
     def test_ball_that_fills_a_finite_graph(self, field):
         literals = [(0, 1, "1"), (1, 2, "1*e^(1)"), (2, 3, "2"), (3, 4, "1 + 1*e^(2)"), (0, 3, "1*e^(3)")]
