@@ -154,8 +154,10 @@ class NashWilliamsCertificate:
 
 @dataclass(frozen=True)
 class BoundedBelowCertificate:
-    """Every edge weight of a finite graph is at least `bound` (a positive
-    element), which rules out null capacity by the monotonicity law."""
+    """Every edge weight of a finite graph is at least `bound`, a certified
+    positive element.  It is issued only for finite graphs, whose capacity
+    sequence ends in the exact 0 once a ball holds every vertex, so it
+    decides no capacity type: the verdict it rides on stays inconclusive."""
 
     bound: object
 

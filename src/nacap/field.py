@@ -4,7 +4,10 @@ Elements are finite formal series ``sum a_i * e^(q_i)`` with rational
 coefficients ``a_i`` and strictly increasing rational exponents ``q_i``,
 ordered lexicographically by the leading coefficient (``x > 0`` iff the
 coefficient at the least exponent is positive).  ``e`` is a fixed positive
-infinitesimal.
+infinitesimal.  Coefficients are ``Fraction``s; an exponent is an ``int``
+when it is integral and a ``Fraction`` otherwise (``exact.canonical``), so
+sums, shifts, cuts and comparisons of exponents on the integer lattice are
+machine-integer operations.
 
 Every element carries a *guarantee exponent*: all behaviour at exponents
 strictly below it is exact, everything at or above it is unknown.  Exact
@@ -42,7 +45,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Tuple, Union
 
-from .exact import Q, RATIONAL_TYPES
+from .exact import Q, RATIONAL_TYPES, canonical
 from .errors import (
     FieldParseError,
     IndeterminateComparisonError,
@@ -52,9 +55,9 @@ from .errors import (
 INF = math.inf
 _exponent = itemgetter(0)  # the sort key of a term list
 
-Exponent = Fraction
+Exponent = Union[int, Fraction]  # canonical: an int when integral
 Coefficient = Fraction
-Guarantee = Union[Fraction, float]  # a Fraction, or math.inf for "exact"
+Guarantee = Union[int, Fraction, float]  # an Exponent, or math.inf for "exact"
 
 
 @dataclass(frozen=True)
@@ -70,12 +73,12 @@ class PrecisionConfig:
         guarantee.
     """
 
-    window: Fraction = Fraction(32)
+    window: Exponent = 32
     max_terms: int = 256
     geometric_series_depth: int = 64
 
     def __post_init__(self):
-        object.__setattr__(self, "window", Q(self.window))
+        object.__setattr__(self, "window", canonical(self.window))
         if self.window <= 0:
             raise ValueError("window must be positive")
         if self.max_terms < 1:
@@ -177,7 +180,7 @@ def _quotient_terms(s: "LCElement", h: "LCElement", cfg: PrecisionConfig):
     bound = min(s.guarantee, h.guarantee)
     if h.terms:
         lam = h.terms[0][0]
-        steps = min(cfg.geometric_series_depth - 1, math.ceil(cfg.window / lam) + 1)
+        steps = min(cfg.geometric_series_depth - 1, -(-cfg.window // lam) + 1)
         bound = min(bound, (steps + 1) * lam)
     numerator = _below(s.terms, bound)
     terms = []
@@ -321,14 +324,14 @@ class LCElement(OrderedFieldElement):
         value = Q(value)
         if value == 0:
             return _ZERO
-        return LCElement(((Q(0), value),), INF)
+        return LCElement(((0, value),), INF)
 
     @staticmethod
     def monomial(coefficient, exponent) -> "LCElement":
         coefficient = Q(coefficient)
         if coefficient == 0:
             return _ZERO
-        return LCElement(((Q(exponent), coefficient),), INF)
+        return LCElement(((canonical(exponent), coefficient),), INF)
 
     @staticmethod
     def from_literal(text: str) -> "LCElement":
@@ -343,12 +346,12 @@ class LCElement(OrderedFieldElement):
         arithmetic, which truncates and degrades the guarantee)."""
         acc: dict = {}
         for exponent, coefficient in pairs:
-            exponent = Q(exponent)
+            exponent = canonical(exponent)
             coefficient = Q(coefficient)
             acc[exponent] = acc.get(exponent, Q(0)) + coefficient
         terms = sorted((e, c) for e, c in acc.items() if c != 0)
         if guarantee != INF:
-            guarantee = Q(guarantee)
+            guarantee = canonical(guarantee)
             terms = [t for t in terms if t[0] < guarantee]
         cfg = active_precision()
         if len(terms) > cfg.max_terms:
@@ -513,7 +516,7 @@ class LCElement(OrderedFieldElement):
 
 _Q0 = Q(0)
 _ZERO = LCElement((), INF)
-_ONE = LCElement(((Q(0), Q(1)),), INF)
+_ONE = LCElement(((0, Q(1)),), INF)
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +594,7 @@ def parse_element(text: str) -> LCElement:
                 tok.expect("*")
                 exponent = _read_eps(tok)
             else:
-                exponent = Q(0)
+                exponent = 0
         position = tok.pos
         if exponent in seen:
             raise FieldParseError(f"duplicate exponent {exponent}", position)
@@ -614,11 +617,11 @@ def parse_element(text: str) -> LCElement:
     return LCElement(tuple(terms), INF)
 
 
-def _read_eps(tok: _Tokenizer) -> Fraction:
+def _read_eps(tok: _Tokenizer) -> Exponent:
     tok.expect("e")
     tok.expect("^")
     tok.expect("(")
-    exponent = tok.rational()
+    exponent = canonical(tok.rational())
     tok.expect(")")
     return exponent
 

@@ -197,7 +197,7 @@ def _walk_valuations(ctx: TransitionContext, sources, inside):
     `inside`."""
     graph = ctx.graph
     edges: dict = {}  # u -> [(w, val b(u, w) - val b(u)) for w in inside]
-    row = dict.fromkeys(sources, Q(0))
+    row = dict.fromkeys(sources, 0)
     while True:
         yield row
         following = {}
@@ -237,7 +237,7 @@ def min_mean_cycle_valuation(ctx: TransitionContext, K):
             dk = table[k].get(v)
             if dk is None:
                 continue
-            mean = (last - dk) / (m - k)
+            mean = Q(last - dk, m - k)
             if worst is None or mean > worst:
                 worst = mean
         if worst is not None and (best is None or worst < best):
@@ -307,7 +307,7 @@ def full_decay_certificate(ctx: TransitionContext) -> Optional[DecayCertificate]
         slope = -effective
     else:
         return None
-    return DecayCertificate("full", slope / 2, "uniform_inward_step_valuation")
+    return DecayCertificate("full", Q(slope, 2), "uniform_inward_step_valuation")
 
 
 def nonvanishing_certificate(

@@ -329,3 +329,131 @@ class TestCutCost:
             assert product == reference_mul(e3, x)
             assert product.guarantee == 19 and len(product.terms) == 16 * n // 25
             assert count <= bound, count
+
+
+class TestIntegerLattice:
+    """An integral exponent is an int, so arithmetic on the integer lattice
+    compares and adds exponents without ``Fraction``; an exponent off the
+    lattice stays a ``Fraction``.  Coefficients are ``Fraction``s
+    throughout, and they are never ordered by these operations."""
+
+    ORDERED = ("__lt__", "__le__", "__gt__", "__ge__")
+
+    @staticmethod
+    def count_calls(monkeypatch, names, operation):
+        counted = []
+        for name in names:
+            method = getattr(Fraction, name)
+
+            def counting(*args, _method=method):
+                counted.append(1)
+                return _method(*args)
+
+            monkeypatch.setattr(Fraction, name, counting)
+        result = operation()
+        monkeypatch.undo()
+        return result, len(counted)
+
+    @staticmethod
+    def long_element():
+        return LCElement.from_terms((k, Fraction(k % 7 + 1, 3)) for k in range(200))
+
+    def test_long_operands_order_no_fraction(self, monkeypatch):
+        with precision(window=400, max_terms=1000):
+            x = self.long_element()
+            divisor = LCElement.one() + LCElement.monomial(1, 1)
+            e3 = LCElement.monomial(1, 3)
+            counts = {
+                "ordered in x / (1 + e)": self.count_calls(
+                    monkeypatch, self.ORDERED, lambda: x / divisor
+                )[1],
+                "ordered in x + x": self.count_calls(monkeypatch, self.ORDERED, lambda: x + x)[1],
+            }
+            product, counts["added in e^3 * x"] = self.count_calls(
+                monkeypatch, ("__add__", "__radd__"), lambda: e3 * x
+            )
+            assert product == reference_mul(e3, x)
+        assert counts == dict.fromkeys(counts, 0)
+
+    def test_transition_powers_order_no_fraction(self, monkeypatch):
+        from nacap.specfile import build_graph, load_spec
+        from nacap.transition import TransitionContext, transition_powers
+
+        graph, config = build_graph(load_spec("ex1"))
+        with precision(config):
+            ctx = TransitionContext(graph)
+            # The first call materialises the edges, each weight checked
+            # positive by its leading coefficient; the counted one orders
+            # only exponents.
+            transition_powers(ctx, 0, 0, 4)
+            _, count = self.count_calls(
+                monkeypatch, self.ORDERED, lambda: transition_powers(ctx, 0, 0, 4)
+            )
+        assert count == 0
+
+    @staticmethod
+    def exponent_types(x):
+        types = {type(e) for e, _ in x.terms}
+        return types | ({type(x.guarantee)} if x.guarantee != INF else set())
+
+    @staticmethod
+    def integral_element(rng):
+        """Up to 8 terms at integral exponents, given as Fractions; the
+        guarantee is infinite or lies a few steps above the last term."""
+        exponents = sorted(rng.sample(range(-8, 40), rng.randint(1, 8)))
+        guarantee = INF if rng.random() < 0.5 else Fraction(exponents[-1] + rng.randint(1, 16))
+        return LCElement.from_terms(
+            ((Fraction(e), random_coefficient(rng)) for e in exponents), guarantee
+        )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_integral_exponents_stay_int(self, seed):
+        rng = random.Random(2000 + seed)
+        for _ in range(100):
+            x, y = self.integral_element(rng), self.integral_element(rng)
+            assert self.exponent_types(x) == {int} or not x.terms
+            with precision(random_config(rng)):
+                results = [x + y, x * y, x / y, y.inv()]
+            for z in results:
+                assert self.exponent_types(z) <= {int}, z
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_no_exponent_or_guarantee_is_a_float(self, seed):
+        rng = random.Random(3000 + seed)
+        for _ in range(100):
+            x, y = random_element(rng), random_element(rng)
+            with precision(random_config(rng)):
+                results = [x + y, x * y, x / y, y.inv()]
+            for z in results:
+                assert self.exponent_types(z) <= {int, Fraction}, z
+
+    def test_constructors_store_integral_exponents_as_int(self):
+        assert type(LCElement.monomial(2, Fraction(6, 3)).terms[0][0]) is int
+        assert type(LCElement.rational(3).terms[0][0]) is int
+        assert type(LCElement.one().terms[0][0]) is int
+        assert type(LCElement.from_terms([(Fraction(4, 2), 1)], Fraction(9)).guarantee) is int
+        assert type(PrecisionConfig(window=Fraction(8)).window) is int
+        parsed = field.parse_element("1 + 2*e^(4/2) - e^(1/2)")
+        assert parsed.terms == ((0, 1), (Fraction(1, 2), -1), (2, 2))
+        assert [type(e) for e, _ in parsed.terms] == [int, Fraction, int]
+
+    def test_int_and_fraction_exponents_merge(self):
+        # e^(1/2) + e^(1/2) reaches the exponent 1 as Fraction(1), and the
+        # int 1 of e^1 meets it there: one term, in sums, products and
+        # quotients.
+        half = Fraction(1, 2)
+        fraction_one = LCElement(((Fraction(1), Fraction(1)),))
+        assert (fraction_one + LCElement.monomial(1, 1)).terms == ((1, 2),)
+        x = LCElement.monomial(1, half) + LCElement.monomial(1, 1)
+        y = LCElement.monomial(1, half) + LCElement.one()
+        assert x * y == LCElement.from_terms([(half, 1), (1, 2), (Fraction(3, 2), 1)])
+        quotient = LCElement.monomial(1, 1) / y
+        exponents = [e for e, _ in quotient.terms]
+        assert exponents == sorted(set(exponents))
+        with precision(window=64, max_terms=1000):
+            assert (quotient * y).indistinguishable(LCElement.monomial(1, 1))
+
+    @pytest.mark.parametrize("window", [1, 7, 32, Fraction(7, 2), Fraction(33, 8)])
+    @pytest.mark.parametrize("lam", [1, 2, 3, Fraction(1, 2), Fraction(3, 8), Fraction(5, 3)])
+    def test_exact_ceiling(self, window, lam):
+        assert -(-window // lam) == math.ceil(Fraction(window) / lam)

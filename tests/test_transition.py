@@ -259,6 +259,20 @@ class TestDecayCertificates:
         for K in subsets:
             assert min_mean_cycle_valuation(ctx, K) == least_closed_walk_mean(ctx, K), K
 
+    def test_rates_on_integer_exponents_are_exact_fractions(self):
+        # Edge valuations on the triangle b(0,1) = 1, b(1,2) = e, b(0,2) =
+        # e^2: 1 -> 2 costs 1 and 2 -> 1 costs 0, so inside {1, 2} the least
+        # cycle mean is 1/2.  Integral valuations are ints; no mean is a float.
+        ctx = TransitionContext(make_explicit(3, [(0, 1, ONE), (1, 2, EPS), (0, 2, EPS * EPS)]))
+        rates = [
+            min_mean_cycle_valuation(ctx, (1, 2)),
+            restricted_decay_certificate(ctx, (1, 2)).rate,
+            full_decay_certificate(growing_ctx()).rate,
+        ]
+        assert rates == [Fraction(1, 2)] * 3
+        assert {type(rate) for rate in rates} == {Fraction}
+        assert min_mean_cycle_valuation(ctx, (0, 1, 2)) == 0
+
     def test_restricted_certificate(self):
         assert restricted_decay_certificate(half_power_ctx(), range(5)) is not None
         assert restricted_decay_certificate(unit_ctx(), range(5)) is None
