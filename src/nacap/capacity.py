@@ -3,11 +3,11 @@
 The capacity type of an infinite graph (null / positive / divergent) is a
 limit statement in the order topology, so at a finite horizon it is only
 decidable through a certificate: an exact closed form for recognized
-weakly-spherically-symmetric profiles, or a positive lower bound on all
-edge weights of a finite graph.  Without one of those the verdict is
-inconclusive and carries the observed valuation trend as evidence, never a
-guess.  The type does not depend on the vertex, so one classifier serves
-every root.
+weakly-spherically-symmetric profiles, or the saturation radius of a finite
+graph, the radius at which a ball holds every vertex and the capacity is
+the exact 0.  Without one of those the verdict is inconclusive and carries
+the observed valuation trend as evidence, never a guess.  The type does not
+depend on the vertex, so one classifier serves every root.
 """
 
 from __future__ import annotations
@@ -132,12 +132,13 @@ class SphericalFormulaCertificate:
 
 @dataclass(frozen=True)
 class NashWilliamsCertificate:
-    """Subsequence of ball radii whose boundary weights (or maximal boundary
-    edges) have strictly increasing valuations.  `provable` marks rule-backed
-    trends that continue beyond the horizon; only those certify null
-    capacity."""
+    """Subsequence of ball radii whose boundary weights have strictly
+    increasing valuations.  Each valuation is the least valuation of an
+    edge leaving the ball, since a sum of positive elements keeps every
+    leading term.  `provable` marks rule-backed trends that continue beyond
+    the horizon; only those certify null capacity."""
 
-    condition: str  # "boundary_weights" or "max_boundary_edge"
+    condition: str  # "boundary_weights"
     radii: Tuple[int, ...]
     valuations: Tuple
     provable: bool
@@ -153,16 +154,15 @@ class NashWilliamsCertificate:
 
 
 @dataclass(frozen=True)
-class BoundedBelowCertificate:
-    """Every edge weight of a finite graph is at least `bound`, a certified
-    positive element.  It is issued only for finite graphs, whose capacity
-    sequence ends in the exact 0 once a ball holds every vertex, so it
-    decides no capacity type: the verdict it rides on stays inconclusive."""
+class SaturationCertificate:
+    """A finite graph has `radius` spheres around the root, so the ball of
+    that radius holds every vertex, has no boundary and has the exact
+    capacity 0: the capacity sequence ends in 0 and the type is null."""
 
-    bound: object
+    radius: int
 
     def to_json(self):
-        return {"type": "bounded_below", "bound": str(self.bound), "scope": "materialized"}
+        return {"type": "saturation", "radius": self.radius}
 
 
 @dataclass(frozen=True)
@@ -245,16 +245,6 @@ def spherical_capacity_limit(rule, sizes, field):
     )
 
 
-def _edge_lower_bound(graph):
-    """The least edge weight of a finite graph, when certified positive."""
-    best = None
-    for x in range(graph.vertex_count):
-        for w in graph.neighbors(x).values():
-            if best is None or scalars.certainly_positive(best - w):
-                best = w
-    return best if best is not None and scalars.certainly_positive(best) else None
-
-
 def classify(graph, a, N) -> CapacityVerdict:
     """Capacity type of the graph, a property independent of the vertex.
     The certificates are tried in order of soundness:
@@ -265,8 +255,9 @@ def classify(graph, a, N) -> CapacityVerdict:
           b_plus tends to infinity                   -> positive, with limit
           b_plus bounded below, and bounded above
           infinitely often                           -> divergent
-      - a finite graph's certified least edge weight: inconclusive, with
-        a bounded-below certificate;
+      - a finite graph is null at root a, with its saturation radius: the
+        ball of that radius holds every vertex, and its capacity is the
+        exact 0, which no Dirichlet solve is needed to know;
       - otherwise inconclusive, with the evidence of the capacity sequence
         at root a up to horizon N."""
     _check_root(graph, a)
@@ -284,8 +275,9 @@ def classify(graph, a, N) -> CapacityVerdict:
             rule.to_json(), trend.kind, lower=trend.lower, upper=trend.upper
         )
         return CapacityVerdict(DIVERGENT, root=0, certificate=certificate)
-    if graph.is_finite and (bound := _edge_lower_bound(graph)) is not None:
-        return CapacityVerdict(INCONCLUSIVE, root=a, certificate=BoundedBelowCertificate(bound))
+    if graph.is_finite:
+        radius = sum(1 for _ in graph.spheres(a))
+        return CapacityVerdict(NULL, root=a, certificate=SaturationCertificate(radius))
     sequence = capacity_sequence(graph, a, N)
     evidence = convergence_evidence(sequence.difference_valuations)
     certificate = HorizonEvidenceCertificate(sequence.difference_valuations, evidence)
@@ -312,44 +304,31 @@ def _record_subsequence(valuations):
 
 def nash_williams(graph, a, N) -> Optional[NashWilliamsCertificate]:
     """Search for a subsequence of ball radii along which the boundary
-    weights (equivalently, the maximal boundary edges) tend to zero.  The
-    edges leaving B_n are those from S_{n-1} to S_n (breadth-first
-    property), read from one walk; past its end the spheres are empty.
+    weights tend to zero.  The edges leaving B_n are those from S_{n-1} to
+    S_n (breadth-first property), read from one walk; past its end the
+    spheres are empty.  The valuation of b(boundary B_n) is the least
+    val b(x, y) over those edges, since positive weights never cancel a
+    leading term, so it is read without field arithmetic.
 
     A certificate whose trend is backed by a recognized weight rule is sound
     beyond the horizon (`provable`); raw finite evidence is reported with
     provable=False.  Absence of a certificate is a valid outcome (None)."""
     _check_root(graph, a)
-    boundary_vals = []
-    max_edge_vals = []
+    vals = []
     spheres = chain(graph.spheres(a), repeat({}))
     for inner, outer in islice(pairwise(spheres), N):
-        total = graph.field.zero()
-        best = None
-        for x in sorted(inner):
-            for y, w in graph.neighbors(x).items():
-                if y in outer:
-                    total = total + w
-                    if best is None or scalars.certainly_positive(w - best):
-                        best = w
-        boundary_vals.append(total.valuation)
-        max_edge_vals.append(best.valuation if best is not None else INF)
+        leaving = (w for x in inner for y, w in graph.neighbors(x).items() if y in outer)
+        vals.append(min((w.valuation for w in leaving), default=INF))
 
-    rule = graph.weight_rule
-    rule_backed = rule is not None and rule.trend(graph.field).kind == Trend.TO_ZERO
-
-    for condition, vals in (
-        ("boundary_weights", boundary_vals),
-        ("max_boundary_edge", max_edge_vals),
-    ):
-        records = _record_subsequence(vals)
-        if len(records) >= min(3, N) and len(records) > 1 and records[-1] >= N - 2:
-            return NashWilliamsCertificate(
-                condition=condition,
-                radii=tuple(i + 1 for i in records),
-                valuations=tuple(vals[i] for i in records),
-                provable=rule_backed,
-            )
+    records = _record_subsequence(vals)
+    if len(records) >= min(3, N) and len(records) > 1 and records[-1] >= N - 2:
+        rule = graph.weight_rule
+        return NashWilliamsCertificate(
+            condition="boundary_weights",
+            radii=tuple(i + 1 for i in records),
+            valuations=tuple(vals[i] for i in records),
+            provable=rule is not None and rule.trend(graph.field).kind == Trend.TO_ZERO,
+        )
     return None
 
 

@@ -633,11 +633,12 @@ def format_element(x: LCElement) -> str:
         return "0"
     parts = []
     for i, (exponent, coefficient) in enumerate(x.terms):
+        negative = coefficient < 0
         if i == 0:
-            sign = "-" if coefficient < 0 else ""
+            sign = "-" if negative else ""
         else:
-            sign = " - " if coefficient < 0 else " + "
-        magnitude = -coefficient if coefficient < 0 else coefficient
+            sign = " - " if negative else " + "
+        magnitude = -coefficient if negative else coefficient
         if exponent == 0:
             parts.append(f"{sign}{magnitude}")
         else:

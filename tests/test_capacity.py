@@ -1,5 +1,6 @@
 """Capacity sequences, classification certificates, Nash-Williams, bridge."""
 
+import os
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -47,6 +48,7 @@ from capacity_reference import (
     per_r_real_sweep,
 )
 from prop_suites import random_graph
+import matrix_reference
 
 ONE = LCElement.one()
 EPS = LCElement.monomial(1, 1)
@@ -191,49 +193,92 @@ class TestNashWilliams:
             cert = nash_williams(decaying_path(), root, 10)
             assert cert is not None and cert.provable
 
+    @pytest.mark.parametrize(
+        "make_graph, N",
+        [
+            (lambda: build_graph(load_spec("ex1")), 10),
+            (lambda: build_graph(load_spec("ex8")), 12),
+            (lambda: (growing_spheres(), None), 8),
+        ],
+        ids=["ex1", "ex8", "growing-spheres"],
+    )
+    def test_no_field_arithmetic(self, monkeypatch, make_graph, N):
+        # The first call lists the neighbours, and building a layered
+        # graph's edges divides and checks signs; the counted one reads
+        # only valuations.
+        graph, config = make_graph()
+        with precision(config):
+            first = nash_williams(graph, 0, N)
+            calls = []
+            for cls, name in [
+                (LCElement, "__add__"),
+                (RFElement, "__add__"),
+                (LCElement, "sign"),
+                (RFElement, "sign"),
+            ]:
+                method = getattr(cls, name)
+
+                def counting(*args, _method=method):
+                    calls.append(_method)
+                    return _method(*args)
+
+                monkeypatch.setattr(cls, name, counting)
+            assert nash_williams(graph, 0, N) == first
+        assert calls == []
+
 
 class TestClassifyWithoutTrend:
-    def test_rational_explicit_graph_bounded_below(self):
+    def test_rational_explicit_graph_is_null_by_saturation(self):
         g = make_explicit(
             4,
             [(0, 1, ONE), (1, 2, LCElement.rational(Fraction(1, 3))), (2, 3, ONE)],
         )
         verdict = classify(g, 2, 3)
-        assert verdict.kind == INCONCLUSIVE and verdict.root == 2
-        assert verdict.certificate.to_json()["type"] == "bounded_below"
-        assert verdict.certificate.bound == LCElement.rational(Fraction(1, 3))
+        assert verdict.kind == NULL and verdict.root == 2
+        assert verdict.certificate.to_json() == {"type": "saturation", "radius": 3}
 
     @pytest.mark.parametrize(
-        "graph, bound",
+        "graph, radius",
         [
-            (lambda: make_path(ExplicitListRule(("1", "1*e^(1)", "2"))), EPS),
+            (lambda: make_path(ExplicitListRule(("1", "1*e^(1)", "2"))), 4),
             (
                 lambda: make_path(ExplicitListRule(("1", "1*e^(1)"), ExplicitListRule(("9", "9", "2")))),
-                EPS,
+                4,
             ),
-            # Each edge from S_1 to S_2 carries b_plus(1) / #S_2 = eps / 3.
             (
                 lambda: make_spherical(
                     SphericalProfile(ExplicitListRule(("1", "1*e^(1)", "2")), ListSize((1, 2, 3, 2)))
                 ),
-                LCElement.monomial(Fraction(1, 3), 1),
+                4,
             ),
         ],
         ids=["path", "nested-tail", "spheres"],
     )
-    def test_finite_list_is_bounded_below_without_a_solve(self, graph, bound, monkeypatch):
-        solves = []
-        solve_dp = dirichlet.solve_dp
-
-        def counted(*args):
-            solves.append(args)
-            return solve_dp(*args)
-
-        monkeypatch.setattr(dirichlet, "solve_dp", counted)
+    def test_finite_list_is_null_without_a_solve(self, graph, radius, monkeypatch):
+        solves = count_solves(monkeypatch)
         verdict = classify(graph(), 0, 6)
-        assert verdict.certificate.to_json()["type"] == "bounded_below"
-        assert verdict.certificate.bound == bound
+        assert verdict.kind == NULL
+        assert verdict.certificate.to_json() == {"type": "saturation", "radius": radius}
         assert solves == []
+
+    @pytest.mark.parametrize("field", ["levi-civita", "rational-function"])
+    @pytest.mark.parametrize("name", matrix_reference.SPEC_FILES)
+    def test_every_finite_spec_is_null_by_saturation_at_every_root(self, name, field, monkeypatch):
+        # The ball of the saturation radius holds every vertex, so the
+        # capacity sequence stops there, at the exact 0.
+        spec = load_spec(os.path.join(matrix_reference.SPECS, f"{name}.json"))
+        graph, config = build_graph({**spec, "field": field})
+        solves = count_solves(monkeypatch)
+        with precision(config):
+            verdicts = [classify(graph, root, 16) for root in range(graph.vertex_count)]
+            assert solves == []
+            for root, verdict in enumerate(verdicts):
+                assert verdict.kind == NULL and verdict.root == root
+                radius = verdict.certificate.radius
+                assert radius == len(list(graph.spheres(root)))
+                values = capacity_sequence(graph, root, radius + 2).values
+                assert len(values) == radius
+                assert values[-1] == graph.field.zero() and values[-1].guarantee == INF
 
     def test_unknown_rule_horizon_evidence(self):
         graph = make_path(lambda k: ONE + LCElement.monomial(k + 1, 1))
@@ -392,6 +437,20 @@ class TestRealSweep:
 
 
 
+def count_solves(monkeypatch):
+    """The list that each later call of dirichlet.solve_dp appends its
+    arguments to."""
+    solves = []
+    solve_dp = dirichlet.solve_dp
+
+    def counted(*args):
+        solves.append(args)
+        return solve_dp(*args)
+
+    monkeypatch.setattr(dirichlet, "solve_dp", counted)
+    return solves
+
+
 def outcome(driver, *args):
     """A driver's result, or the type and message of what it raised."""
     try:
@@ -460,13 +519,26 @@ class TestExhaustionWalk:
             root = rng.randrange(graph.vertex_count)
             self.assert_like_per_ball(graph, root, graph.vertex_count + 1)
 
+    def test_random_explicit_graphs_at_the_narrowest_precision(self):
+        # One term per element: the sum of a boundary keeps its leading
+        # term, which is the least valuation of its edges.
+        rng = random.Random(1502)
+        for _ in range(40):
+            graph = random_graph(rng)
+            root = rng.randrange(graph.vertex_count)
+            with precision(window=1, max_terms=1):
+                for n in range(1, graph.vertex_count + 2):
+                    assert outcome(nash_williams, graph, root, n) == outcome(
+                        per_ball_nash_williams, graph, root, n
+                    )
+
     @pytest.mark.parametrize("make", (finite_path, finite_spherical))
     @pytest.mark.parametrize("root", (0, 2))
     def test_finite_layered_graphs(self, make, root):
         self.assert_like_per_ball(make(), root, 8)
 
     def test_growing_spheres(self):
-        self.assert_like_per_ball(growing_spheres(), 0, 4, 3)
+        self.assert_like_per_ball(growing_spheres(), 0, 6, 3)
 
     def test_saturation_ends_the_sequence(self):
         assert len(capacity_sequence(finite_path(), 0, 7).values) == 4

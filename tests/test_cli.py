@@ -218,7 +218,8 @@ class TestCommands:
             values = [(node["value"], node["guarantee"]) for node in outputs[0]["values"]]
             expected = [("1", "inf"), ("1/2", "inf"), ("1/3", "inf"), ("0", "inf")]
             assert values == expected[: int(options[-1])]
-            assert outputs[0]["verdict"]["certificate"]["type"] == "bounded_below"
+            assert outputs[0]["verdict"]["kind"] == "null"
+            assert outputs[0]["verdict"]["certificate"] == {"type": "saturation", "radius": 4}
 
 
     @pytest.mark.parametrize(
@@ -292,7 +293,7 @@ class TestOneClassifier:
         monkeypatch.setattr(cli, "solve_dp", counted)
         code, out, err = run(capsys, *matrix_reference.argv(fixture, "hardy --samples 2 --horizon 4"))
         assert (code, out) == (4, "")
-        assert "no Hardy weight certificate for verdict kind 'inconclusive'" in err
+        assert "no Hardy weight certificate for verdict kind 'null'" in err
         assert solves == []
 
 

@@ -441,3 +441,13 @@ class TestIntegerLattice:
     @pytest.mark.parametrize("lam", [1, 2, 3, Fraction(1, 2), Fraction(3, 8), Fraction(5, 3)])
     def test_exact_ceiling(self, window, lam):
         assert -(-window // lam) == math.ceil(Fraction(window) / lam)
+
+
+def test_format_orders_each_coefficient_once(monkeypatch):
+    x = LCElement(tuple((k, Fraction((-1) ** k * (k + 1), 3)) for k in range(200)))
+    text, count = count_fraction_calls(
+        monkeypatch, TestIntegerLattice.ORDERED, lambda: field.format_element(x)
+    )
+    assert text.startswith("1/3 - 2/3*e^(1) + 1*e^(2) - 4/3*e^(3) + ")
+    assert text.endswith(" - 200/3*e^(199)")
+    assert count == 200
