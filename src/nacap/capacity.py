@@ -5,9 +5,9 @@ limit statement in the order topology, so at a finite horizon it is only
 decidable through a certificate: an exact closed form for recognized
 weakly-spherically-symmetric profiles, or the saturation radius of a finite
 graph, the radius at which a ball holds every vertex and the capacity is
-the exact 0.  Without one of those the verdict is inconclusive and carries
-the observed valuation trend as evidence, never a guess.  The type does not
-depend on the vertex, so one classifier serves every root.
+the exact 0.  Every graph a spec can build has one of the two, so every
+verdict is certified.  The type does not depend on the vertex, so one
+classifier serves every root.
 """
 
 from __future__ import annotations
@@ -26,18 +26,17 @@ from .errors import (
     SpecFileError,
 )
 from .exact import Q
-from .field import INF, active_precision, guarantee_str, scalar_json
+from .field import INF, active_precision, scalar_json
 from .graphs import Trend
 from .ratfunc import RFElement
 
 NULL = "null"
 POSITIVE = "positive"
 DIVERGENT = "divergent"
-INCONCLUSIVE = "inconclusive"
 
 
 # ---------------------------------------------------------------------------
-# Sequences and trend evidence
+# Capacity sequences
 # ---------------------------------------------------------------------------
 
 
@@ -73,34 +72,6 @@ def capacity_sequence(graph, a, N) -> CapacitySequence:
             raise AssertionError("capacity failed to decrease along the exhaustion")
         diffs.append(step.valuation)
     return CapacitySequence(a, tuple(values), tuple(diffs))
-
-
-def increasing_suffix_length(valuations) -> int:
-    """Length of the strictly increasing suffix of a valuation sequence; the
-    computational proxy for convergence evidence (a sequence converges iff
-    consecutive differences tend to zero, i.e. their valuations grow)."""
-    if not valuations:
-        return 0
-    count = 1
-    for earlier, later in zip(reversed(valuations[:-1]), reversed(valuations[1:])):
-        if later > earlier:
-            count += 1
-        else:
-            break
-    return count
-
-
-def convergence_evidence(valuations) -> dict:
-    """Finite-horizon evidence that a sequence of difference valuations
-    grows without bound: a strictly increasing suffix reaching the end of
-    the computed range.  ``threshold_exceeded`` says only that the range is
-    not empty."""
-    suffix = increasing_suffix_length(valuations)
-    return {
-        "suffix_length": suffix,
-        "strictly_increasing_tail": suffix >= min(3, len(valuations)) and suffix > 1,
-        "threshold_exceeded": bool(valuations),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -166,40 +137,21 @@ class SaturationCertificate:
 
 
 @dataclass(frozen=True)
-class HorizonEvidenceCertificate:
-    """No sound certificate applies: the observed capacity differences and
-    their valuation trend, for the caller to judge."""
-
-    difference_valuations: Tuple
-    evidence: dict
-
-    def to_json(self):
-        return {
-            "type": "horizon_evidence",
-            "difference_valuations": [guarantee_str(v) for v in self.difference_valuations],
-            "evidence": self.evidence,
-        }
-
-
-@dataclass(frozen=True)
 class CapacityVerdict:
     """Capacity type of the graph (a vertex-independent property), with the
     machine-checkable certificate that justified it.  Positive verdicts carry
     the exact limit within its guarantee."""
 
     kind: str
-    root: Optional[int] = None
+    root: int
+    certificate: object
     limit: object = None
-    certificate: object = None
 
     def to_json(self):
-        out = {"kind": self.kind}
-        if self.root is not None:
-            out["root"] = self.root
+        out = {"kind": self.kind, "root": self.root}
         if self.limit is not None:
             out["limit"] = scalar_json(self.limit)
-        if self.certificate is not None:
-            out["certificate"] = self.certificate.to_json()
+        out["certificate"] = self.certificate.to_json()
         return out
 
 
@@ -245,9 +197,9 @@ def spherical_capacity_limit(rule, sizes, field):
     )
 
 
-def classify(graph, a, N) -> CapacityVerdict:
+def classify(graph, a) -> CapacityVerdict:
     """Capacity type of the graph, a property independent of the vertex.
-    The certificates are tried in order of soundness:
+    Every verdict is certified:
 
       - a recognized trend of the outward sphere weights b_plus decides it
         exactly, through the capacity formula at the profile's root 0:
@@ -255,33 +207,28 @@ def classify(graph, a, N) -> CapacityVerdict:
           b_plus tends to infinity                   -> positive, with limit
           b_plus bounded below, and bounded above
           infinitely often                           -> divergent
-      - a finite graph is null at root a, with its saturation radius: the
-        ball of that radius holds every vertex, and its capacity is the
-        exact 0, which no Dirichlet solve is needed to know;
-      - otherwise inconclusive, with the evidence of the capacity sequence
-        at root a up to horizon N."""
+      - otherwise the graph is finite, since every weight rule without a
+        trend ends the graph, and it is null at root a, with its saturation
+        radius: the ball of that radius holds every vertex, and its capacity
+        is the exact 0, which no Dirichlet solve is needed to know."""
     _check_root(graph, a)
     rule, field = graph.weight_rule, graph.field
     trend = rule.trend(field) if rule is not None else Trend(Trend.UNKNOWN)
     if trend.kind == Trend.TO_ZERO:
         certificate = SphericalFormulaCertificate(rule.to_json(), trend.kind)
-        return CapacityVerdict(NULL, root=0, certificate=certificate)
+        return CapacityVerdict(NULL, 0, certificate)
     if trend.kind == Trend.TO_INFINITY:
         limit, terms = spherical_capacity_limit(rule, graph.sphere_sizes, field)
         certificate = SphericalFormulaCertificate(rule.to_json(), trend.kind, terms_summed=terms)
-        return CapacityVerdict(POSITIVE, root=0, limit=limit, certificate=certificate)
+        return CapacityVerdict(POSITIVE, 0, certificate, limit)
     if trend.kind == Trend.TWO_SIDED:
         certificate = SphericalFormulaCertificate(
             rule.to_json(), trend.kind, lower=trend.lower, upper=trend.upper
         )
-        return CapacityVerdict(DIVERGENT, root=0, certificate=certificate)
-    if graph.is_finite:
-        radius = sum(1 for _ in graph.spheres(a))
-        return CapacityVerdict(NULL, root=a, certificate=SaturationCertificate(radius))
-    sequence = capacity_sequence(graph, a, N)
-    evidence = convergence_evidence(sequence.difference_valuations)
-    certificate = HorizonEvidenceCertificate(sequence.difference_valuations, evidence)
-    return CapacityVerdict(INCONCLUSIVE, root=a, certificate=certificate)
+        return CapacityVerdict(DIVERGENT, 0, certificate)
+    assert graph.is_finite, "a weight rule without a trend must end the graph"
+    radius = sum(1 for _ in graph.spheres(a))
+    return CapacityVerdict(NULL, a, SaturationCertificate(radius))
 
 
 # ---------------------------------------------------------------------------

@@ -160,7 +160,7 @@ def _cmd_solve_dp(graph, args):
 
 def _cmd_capacity(graph, args):
     sequence = capacity_sequence(graph, args.root, args.horizon)
-    verdict = classify(graph, args.root, args.horizon)
+    verdict = classify(graph, args.root)
     return {
         "root": sequence.root,
         "values": [scalar_json(v) for v in sequence.values],
@@ -170,9 +170,7 @@ def _cmd_capacity(graph, args):
 
 
 def _cmd_classify(graph, args):
-    # The horizon bounds only the evidence branch, which no spec reaches:
-    # each builds a finite graph or a weight rule with a trend.
-    return {"verdict": classify(graph, 0, 16).to_json()}
+    return {"verdict": classify(graph, 0).to_json()}
 
 
 def _cmd_nash_williams(graph, args):
@@ -250,7 +248,7 @@ def _cmd_superharmonic(graph, args):
 
 
 def _cmd_hardy(graph, args):
-    verdict = classify(graph, 0, args.horizon)
+    verdict = classify(graph, 0)
     weight = hardy_construct(graph, verdict, horizon=args.horizon)
     samples = [
         solve_dp(graph, graph.ball(args.root, n), args.root).values

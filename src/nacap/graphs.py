@@ -15,7 +15,7 @@ import bisect
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 from .exact import Q
 from .errors import (
@@ -237,22 +237,6 @@ class ExplicitListRule:
         if self.tail is not None:
             out["tail"] = self.tail.to_json()
         return out
-
-
-@dataclass(frozen=True)
-class CallableRule:
-    """Ad-hoc rule from a plain function; no symbolic trend."""
-
-    fn: Callable[[int], object]
-
-    def value(self, k: int, field):
-        return self.fn(k)
-
-    def trend(self, field) -> Trend:
-        return Trend(Trend.UNKNOWN)
-
-    def to_json(self):
-        return {"rule": "callable"}
 
 
 # -- sphere size rules -------------------------------------------------------
@@ -598,16 +582,10 @@ class WeightedGraph:
 # ---------------------------------------------------------------------------
 
 
-def _as_rule(rule):
-    if callable(rule) and not hasattr(rule, "value"):
-        return CallableRule(rule)
-    return rule
-
-
 def make_path(weight_rule, measure=None, field=LCElement) -> WeightedGraph:
-    """Path graph on {0, 1, 2, ...} with b(k, k+1) given by the rule and
-    measure 1 unless stated otherwise: the profile with unit spheres."""
-    profile = SphericalProfile(_as_rule(weight_rule))
+    """Path graph on {0, 1, 2, ...} with b(k, k+1) given by the weight rule
+    and measure 1 unless stated otherwise: the profile with unit spheres."""
+    profile = SphericalProfile(weight_rule)
     return WeightedGraph(_LayeredStructure(profile, field), field, measure)
 
 

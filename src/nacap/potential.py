@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Tuple
 
 from . import scalars
-from .capacity import DIVERGENT, POSITIVE, CapacityVerdict, SphericalFormulaCertificate
+from .capacity import DIVERGENT, POSITIVE, CapacityVerdict
 from .dirichlet import energy, laplacian_apply
 from .errors import (
     HardyConstructionError,
@@ -285,32 +285,27 @@ def hardy_construct(graph, verdict: CapacityVerdict, horizon: int = 16) -> Hardy
     vertex enumeration.  Null capacity admits no Hardy weight, so
     construction refuses."""
     if verdict.kind == POSITIVE:
-        if verdict.limit is None or verdict.root is None:
-            raise HardyConstructionError("positive verdict lacks a limit or root")
         return HardyWeight(
             {verdict.root: verdict.limit},
             "point_mass",
             {"root": verdict.root},
         )
 
-    if verdict.kind == DIVERGENT and isinstance(
-        verdict.certificate, SphericalFormulaCertificate
-    ):
+    if verdict.kind == DIVERGENT and graph.is_path:
+        # A divergent verdict's certificate bounds every edge weight below.
+        # By the energy-difference bound along the radial path,
+        # cap_n(x) >= bound/(2n) >= (bound/2) * eps for every n.
         edge_bound = verdict.certificate.lower
-        if edge_bound is not None and graph.is_path:
-            # On a path every edge weight is at least the bound; by
-            # the energy-difference bound along the radial path,
-            # cap_n(x) >= bound/(2n) >= (bound/2) * eps for every n.
-            infinitesimal = graph.field.monomial(1, 1)
-            m_x = edge_bound * infinitesimal * graph.field.rational(Q(1, 2))
-            weights = {}
-            for i, x in enumerate(graph.ball(0, horizon)):
-                weights[x] = m_x * graph.field.rational(Q(1, 2 ** (i + 1)))
-            return HardyWeight(
-                weights,
-                "spherical_lower_bounds",
-                {"edge_lower_bound": str(edge_bound), "horizon": horizon},
-            )
+        infinitesimal = graph.field.monomial(1, 1)
+        m_x = edge_bound * infinitesimal * graph.field.rational(Q(1, 2))
+        weights = {}
+        for i, x in enumerate(graph.ball(0, horizon)):
+            weights[x] = m_x * graph.field.rational(Q(1, 2 ** (i + 1)))
+        return HardyWeight(
+            weights,
+            "spherical_lower_bounds",
+            {"edge_lower_bound": str(edge_bound), "horizon": horizon},
+        )
 
     raise HardyConstructionError(
         f"no Hardy weight certificate for verdict kind '{verdict.kind}' "
@@ -323,13 +318,10 @@ class HardyVerification:
     ok: bool
     failures: Tuple[int, ...]  # indices of violating samples
     checked: int
-    squared_sum_checked: bool
 
 
-def hardy_verify(graph, omega: Mapping, phis, check_squared_sum=False) -> HardyVerification:
-    """Check Q(phi) >= sum phi^2 omega for each sample phi (and optionally
-    the squared-sum variant Q(phi) >= (sum phi omega)^2, valid when the
-    total mass of omega is at most 1).
+def hardy_verify(graph, omega: Mapping, phis) -> HardyVerification:
+    """Check Q(phi) >= sum phi^2 omega for each sample phi.
 
     The universal statement over all finitely supported functions is not
     decidable; this is a sample-based check and a certified violation on any
@@ -343,27 +335,15 @@ def hardy_verify(graph, omega: Mapping, phis, check_squared_sum=False) -> HardyV
     if not nontrivial:
         raise PreconditionError("weight is trivial (no certified positive value)")
 
-    if check_squared_sum:
-        total = graph.field.zero()
-        for w in omega.values():
-            total = total + w
-        if scalars.certainly_positive(total - graph.field.one()):
-            raise PreconditionError("squared-sum variant needs total mass at most 1")
-
     zero = graph.field.zero()
     samples = list(phis)
     failures = []
     for i, phi in enumerate(samples):
         lhs = energy(graph, phi)
         rhs = zero
-        weighted = zero
         for x, w in omega.items():
             px = phi.get(x, zero)
             rhs = rhs + px * px * w
-            weighted = weighted + px * w
         if scalars.certainly_positive(rhs - lhs):
             failures.append(i)
-            continue
-        if check_squared_sum and scalars.certainly_positive(weighted * weighted - lhs):
-            failures.append(i)
-    return HardyVerification(not failures, tuple(failures), len(samples), check_squared_sum)
+    return HardyVerification(not failures, tuple(failures), len(samples))

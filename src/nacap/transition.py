@@ -310,26 +310,30 @@ def full_decay_certificate(ctx: TransitionContext) -> Optional[DecayCertificate]
     return DecayCertificate("full", Q(slope, 2), "uniform_inward_step_valuation")
 
 
+NONVANISHING_MAX_POWER = 8  # highest return power the non-decay search tries
+
+
 def nonvanishing_certificate(
-    ctx: TransitionContext, x0, max_power=8, restrict=None
+    ctx: TransitionContext, x0, restrict=None
 ) -> Optional[NonvanishingCertificate]:
-    """Search k in 2..max_power for a return probability with valuation 0;
-    its standard part (halved when that is needed for certification) is the
-    rational lower bound.
+    """Search k in 2..NONVANISHING_MAX_POWER for a return probability with
+    valuation 0; its standard part (halved when that is needed for
+    certification) is the rational lower bound.
 
     The valuations come first, from the min-plus walk recurrence alone.
     Every p(u, v) is positive, so the leading coefficients of the path
     products at the least valuation add up without cancelling: val P^k(x0,
     x0) is the least sum of edge valuations over the closed walks of k
     edges, and +inf exactly when there is none.  Such a walk stays within
-    distance max_power/2 of x0.  The column of x0 is built only up to the
-    first k whose least sum is 0, and not at all when there is none."""
+    distance NONVANISHING_MAX_POWER/2 of x0.  The column of x0 is built
+    only up to the first k whose least sum is 0, and not at all when there
+    is none."""
     restrict = _restriction(ctx, restrict, x0, x0)
-    inside = set(ctx.graph.ball(x0, max_power // 2 + 1))
+    inside = set(ctx.graph.ball(x0, NONVANISHING_MAX_POWER // 2 + 1))
     if restrict is not None:
         inside &= restrict
     walks = _walk_valuations(ctx, (x0,), inside)
-    for k, row in enumerate(islice(walks, max_power + 1)):
+    for k, row in enumerate(islice(walks, NONVANISHING_MAX_POWER + 1)):
         if k < 2 or row.get(x0) != 0:
             continue
         element = transition_powers(ctx, x0, x0, k, restrict)[k]
@@ -375,13 +379,39 @@ class NeumannReport:
         return out
 
 
+def increasing_suffix_length(valuations) -> int:
+    """Length of the strictly increasing suffix of a valuation sequence; the
+    computational proxy for convergence evidence (a sequence converges iff
+    consecutive differences tend to zero, i.e. their valuations grow)."""
+    if not valuations:
+        return 0
+    count = 1
+    for earlier, later in zip(reversed(valuations[:-1]), reversed(valuations[1:])):
+        if later > earlier:
+            count += 1
+        else:
+            break
+    return count
+
+
+def convergence_evidence(valuations) -> dict:
+    """Finite-horizon evidence that a sequence of difference valuations
+    grows without bound: a strictly increasing suffix reaching the end of
+    the computed range.  ``threshold_exceeded`` says only that the range is
+    not empty."""
+    suffix = increasing_suffix_length(valuations)
+    return {
+        "suffix_length": suffix,
+        "strictly_increasing_tail": suffix >= min(3, len(valuations)) and suffix > 1,
+        "threshold_exceeded": bool(valuations),
+    }
+
+
 def neumann_partial(ctx: TransitionContext, x, y, powers, restrict=None) -> NeumannReport:
     """sum_{n<=N} P^n(x, y), given `powers` = [P^0 ... P^N](x, y) from
     transition_powers, together with term valuations and a trend verdict.
     The series is reported convergent only when a sound decay certificate
     exists; otherwise the trend is evidence, not a claim."""
-    from .capacity import convergence_evidence
-
     total = ctx.field.zero()
     for element in powers:
         total = total + element
@@ -410,16 +440,16 @@ class InverseCheckReport:
 
 
 INVERSE_CHECK_MAX_TERMS = 400  # series terms summed before the check gives up
+INVERSE_CHECK_TARGET_VALUATION = 2  # least valuation of a difference taken as agreement
 
 
-def neumann_inverse_check(
-    ctx: TransitionContext, K, phi: dict, target_valuation=2
-) -> InverseCheckReport:
+def neumann_inverse_check(ctx: TransitionContext, K, phi: dict) -> InverseCheckReport:
     """Verify sum_n P_K^n phi = (Dirichlet Laplacian on K)^{-1} phi.
 
     Refuses (ConvergenceNotCertifiedError) unless the restriction carries a
     decay certificate; then runs the series until every vertex difference
-    either vanishes within its guarantee or has valuation >= the target."""
+    either vanishes within its guarantee or has valuation >=
+    INVERSE_CHECK_TARGET_VALUATION."""
     K = sorted(set(K))
     certificate = restricted_decay_certificate(ctx, K)
     if certificate is None:
@@ -437,7 +467,7 @@ def neumann_inverse_check(
         for v, value in f.items():
             total[v] = total.get(v, zero) + value
         diffs = {v: total.get(v, zero) - inverse[v] for v in K}
-        ok = all(not d or d.valuation >= target_valuation for d in diffs.values())
+        ok = all(not d or d.valuation >= INVERSE_CHECK_TARGET_VALUATION for d in diffs.values())
         if ok:
             break
     return InverseCheckReport(

@@ -78,9 +78,9 @@ class TestCriterion1:
                 break
 
         verdicts = {
-            "ex1": classify(example("ex1")[0], 0, 8),
-            "ex2": classify(example("ex2")[0], 0, 8),
-            "ex3": classify(example("ex3")[0], 0, 8),
+            "ex1": classify(example("ex1")[0], 0),
+            "ex2": classify(example("ex2")[0], 0),
+            "ex3": classify(example("ex3")[0], 0),
         }
         if verdicts["ex1"].kind != NULL:
             failures.append("ex1 not classified null")
@@ -139,7 +139,7 @@ class TestCriterion3:
                     failures.append(f"Pi^{2*n}(0,0) not above e^2")
                     break
 
-        verdict = classify(graph, 0, 8)
+        verdict = classify(graph, 0)
         if verdict.kind != DIVERGENT:
             failures.append("ex5 not classified divergent")
         report(3, not failures, "; ".join(failures) or
@@ -306,7 +306,7 @@ class TestCriterion8:
     def test_criterion_8_hardy_suite(self):
         failures = []
         graph, _ = example("ex2")
-        verdict = classify(graph, 0, 8)
+        verdict = classify(graph, 0)
         weight = hardy_construct(graph, verdict)
         if set(weight.weights) != {0} or not weight.weights[0].indistinguishable(ONE - EPS):
             failures.append("ex2 weight is not (1 - e) at vertex 0")
@@ -317,7 +317,7 @@ class TestCriterion8:
 
         null_graph, _ = example("ex1")
         try:
-            hardy_construct(null_graph, classify(null_graph, 0, 8))
+            hardy_construct(null_graph, classify(null_graph, 0))
             failures.append("construction did not refuse on the null-capacity path")
         except HardyConstructionError:
             pass

@@ -12,6 +12,7 @@ from nacap.errors import HorizonExhaustedError, PreconditionError, SpecFileError
 from nacap.field import INF, LCElement, precision
 from nacap.ratfunc import RFElement
 from nacap.graphs import (
+    FIELDS,
     ConstantRule,
     ExplicitListRule,
     FactorialMonomialRule,
@@ -21,15 +22,15 @@ from nacap.graphs import (
     PeriodicRule,
     PowerSize,
     SphericalProfile,
+    Trend,
     WeightedGraph,
     make_explicit,
     make_path,
     make_spherical,
 )
-from nacap.specfile import build_graph, load_spec
+from nacap.specfile import build_graph, load_spec, parse_weight_rule
 from nacap.capacity import (
     DIVERGENT,
-    INCONCLUSIVE,
     NULL,
     POSITIVE,
     CapacitySequence,
@@ -103,40 +104,40 @@ class TestCapacitySequence:
 
 class TestClassifyByTrend:
     def test_decaying_is_null(self):
-        verdict = classify(decaying_path(), 0, 8)
+        verdict = classify(decaying_path(), 0)
         assert verdict.kind == NULL
         assert verdict.certificate.trend_kind == "to_zero"
 
     def test_growing_is_positive_with_exact_limit(self):
-        verdict = classify(growing_path(), 0, 8)
+        verdict = classify(growing_path(), 0)
         assert verdict.kind == POSITIVE
         assert verdict.limit.indistinguishable(ONE - EPS)
         assert verdict.limit.terms == (ONE - EPS).terms
 
     def test_constant_is_divergent(self):
-        verdict = classify(unit_path(), 0, 8)
+        verdict = classify(unit_path(), 0)
         assert verdict.kind == DIVERGENT
         assert verdict.certificate.lower == ONE
         assert verdict.certificate.upper == ONE
 
     def test_half_power_is_divergent_bounded_between_eps_and_one(self):
-        verdict = classify(make_path(HalfPowerRule()), 0, 8)
+        verdict = classify(make_path(HalfPowerRule()), 0)
         assert verdict.kind == DIVERGENT
         assert verdict.certificate.lower == EPS
         assert verdict.certificate.upper == ONE
 
     def test_factorial_weights_null(self):
-        verdict = classify(make_path(FactorialMonomialRule()), 0, 8)
+        verdict = classify(make_path(FactorialMonomialRule()), 0)
         assert verdict.kind == NULL
 
     def test_inverted_factorial_weights_positive(self):
-        verdict = classify(make_path(FactorialMonomialRule(invert=True)), 0, 8)
+        verdict = classify(make_path(FactorialMonomialRule(invert=True)), 0)
         assert verdict.kind == POSITIVE
 
     def test_limit_matches_capacity_sequence(self):
         # cap_n approaches the formula limit: the difference has valuation n,
         # and once that leaves the window the two become indistinguishable.
-        verdict = classify(growing_path(), 0, 8)
+        verdict = classify(growing_path(), 0)
         seq = capacity_sequence(growing_path(), 0, 12)
         for n, cap in enumerate(seq.values, start=1):
             assert (cap - verdict.limit).valuation == n
@@ -145,7 +146,7 @@ class TestClassifyByTrend:
 
     def test_spherical_graph_profile(self):
         profile = SphericalProfile(MonomialRule(slope=-1), PowerSize(2))
-        verdict = classify(make_spherical(profile), 0, 8)
+        verdict = classify(make_spherical(profile), 0)
         assert verdict.kind == POSITIVE
         # limit = (sum_k 1/(2^k eps^-k))^(-1) = (sum (eps/2)^k)^(-1) = 1 - eps/2
         assert verdict.limit.indistinguishable(ONE - LCElement.monomial(Fraction(1, 2), 1))
@@ -166,12 +167,12 @@ class TestClassifyByTrend:
         # element of Q(r), and Q(r) cannot truncate a series.
         for root in (0, 3):
             with pytest.raises(PreconditionError, match="not an element of Q\\(r\\)"):
-                classify(graph(), root, 4)
+                classify(graph(), root)
 
     def test_verdict_is_read_at_the_profile_root(self):
         for graph in (decaying_path(), growing_path(), unit_path()):
-            assert classify(graph, 3, 4) == classify(graph, 0, 4)
-            assert classify(graph, 3, 4).root == 0
+            assert classify(graph, 3) == classify(graph, 0)
+            assert classify(graph, 3).root == 0
 
 
 class TestNashWilliams:
@@ -233,7 +234,7 @@ class TestClassifyWithoutTrend:
             4,
             [(0, 1, ONE), (1, 2, LCElement.rational(Fraction(1, 3))), (2, 3, ONE)],
         )
-        verdict = classify(g, 2, 3)
+        verdict = classify(g, 2)
         assert verdict.kind == NULL and verdict.root == 2
         assert verdict.certificate.to_json() == {"type": "saturation", "radius": 3}
 
@@ -256,7 +257,7 @@ class TestClassifyWithoutTrend:
     )
     def test_finite_list_is_null_without_a_solve(self, graph, radius, monkeypatch):
         solves = count_solves(monkeypatch)
-        verdict = classify(graph(), 0, 6)
+        verdict = classify(graph(), 0)
         assert verdict.kind == NULL
         assert verdict.certificate.to_json() == {"type": "saturation", "radius": radius}
         assert solves == []
@@ -270,7 +271,7 @@ class TestClassifyWithoutTrend:
         graph, config = build_graph({**spec, "field": field})
         solves = count_solves(monkeypatch)
         with precision(config):
-            verdicts = [classify(graph, root, 16) for root in range(graph.vertex_count)]
+            verdicts = [classify(graph, root) for root in range(graph.vertex_count)]
             assert solves == []
             for root, verdict in enumerate(verdicts):
                 assert verdict.kind == NULL and verdict.root == root
@@ -280,12 +281,63 @@ class TestClassifyWithoutTrend:
                 assert len(values) == radius
                 assert values[-1] == graph.field.zero() and values[-1].guarantee == INF
 
-    def test_unknown_rule_horizon_evidence(self):
-        graph = make_path(lambda k: ONE + LCElement.monomial(k + 1, 1))
-        verdict = classify(graph, 0, 6)
-        assert verdict.kind == INCONCLUSIVE
-        assert verdict.certificate.to_json()["type"] == "horizon_evidence"
-        assert len(verdict.certificate.difference_valuations) == 5
+
+class TestEveryVerdictIsCertified:
+    """Every weight rule a spec can name has a trend or ends the graph, so
+    classify never runs out of certificates."""
+
+    @pytest.mark.parametrize("field", sorted(FIELDS))
+    @pytest.mark.parametrize(
+        "data",
+        [
+            pytest.param({"rule": "eps_pow_k", "slope": 2}, id="eps_pow_k"),
+            pytest.param({"rule": "eps_pow_k", "slope": 0, "coeff": 3}, id="eps_pow_k-flat"),
+            pytest.param({"rule": "eps_pow_neg_k"}, id="eps_pow_neg_k"),
+            pytest.param({"rule": "const", "value": 2}, id="const"),
+            pytest.param({"rule": "factorial_eps"}, id="factorial_eps"),
+            pytest.param({"rule": "factorial_eps", "slope": 0, "invert": True}, id="factorial_eps-flat"),
+            pytest.param({"rule": "eps_pow_half_pow_k"}, id="eps_pow_half_pow_k"),
+            pytest.param({"rule": "periodic", "values": ["1", "1*e^(1)"]}, id="periodic"),
+            pytest.param({"rule": "custom_list", "values": ["1", "2"]}, id="custom_list"),
+            pytest.param(
+                {"rule": "custom_list", "values": ["1"], "tail": {"rule": "const"}},
+                id="custom_list-tail",
+            ),
+            pytest.param(
+                {"rule": "custom_list", "values": ["1"], "tail": {"rule": "custom_list", "values": ["2"]}},
+                id="custom_list-finite-tail",
+            ),
+            pytest.param(["1", "1*e^(1)"], id="literal-list"),
+        ],
+    )
+    def test_every_spec_rule_has_a_trend_or_ends(self, data, field):
+        rule = parse_weight_rule(data)
+        has_trend = rule.trend(FIELDS[field]).kind != Trend.UNKNOWN
+        assert has_trend or getattr(rule, "edge_count", None) is not None
+
+    @pytest.mark.parametrize("name", matrix_reference.FIXTURES)
+    def test_every_spec_gets_a_certified_verdict(self, name):
+        if name in matrix_reference.SPEC_FILES:
+            name = os.path.join(matrix_reference.SPECS, f"{name}.json")
+        graph, config = build_graph(load_spec(name))
+        with precision(config):
+            for root in range(3):
+                try:
+                    verdict = classify(graph, root)
+                except PreconditionError as err:
+                    # The positive limit over Q(r) is a series, no element.
+                    assert graph.field is RFElement
+                    assert "not an element of Q(r)" in str(err)
+                    continue
+                assert verdict.kind in (NULL, POSITIVE, DIVERGENT)
+
+    def test_a_rule_without_a_trend_or_an_end_violates_an_invariant(self):
+        class EndlessRule(ConstantRule):
+            def trend(self, field):
+                return Trend(Trend.UNKNOWN)
+
+        with pytest.raises(AssertionError, match="must end the graph"):
+            classify(make_path(EndlessRule()), 0)
 
 
 class TestMonotoneCompare:
@@ -566,6 +618,11 @@ class TestExhaustionWalk:
     @pytest.mark.parametrize("root", (-1, 4))
     def test_root_outside_a_finite_graph_is_refused(self, root):
         graph = make_explicit(4, [(0, 1, ONE), (1, 2, EPS), (2, 3, ONE)])
-        for driver in (classify, capacity_sequence, nash_williams):
+        calls = (
+            lambda: classify(graph, root),
+            lambda: capacity_sequence(graph, root, 3),
+            lambda: nash_williams(graph, root, 3),
+        )
+        for call in calls:
             with pytest.raises(HorizonExhaustedError, match=f"root vertex {root} outside the graph"):
-                driver(graph, root, 3)
+                call()

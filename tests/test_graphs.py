@@ -95,7 +95,7 @@ class TestBoundaryWeight:
 
 class TestMakePath:
     def test_nonpositive_weight_rejected(self):
-        g = make_path(lambda k: LCElement.rational(-1))
+        g = make_path(ConstantRule(-1))
         with pytest.raises(NonpositiveWeightError):
             g.neighbors(0)
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nacap import scalars
-from nacap.capacity import capacity_sequence, convergence_evidence
+from nacap.capacity import capacity_sequence
 from nacap.dirichlet import (
     effective_capacity,
     energy,
@@ -18,6 +18,7 @@ from nacap.dirichlet import (
 from nacap.field import INF, LCElement, precision
 from nacap.graphs import MonomialRule, make_path
 from nacap.ratfunc import RFElement
+from nacap.transition import convergence_evidence
 from prop_suites import (
     BASE_CONFIG,
     random_element,

@@ -296,10 +296,12 @@ class TestDecayCertificates:
         # lies above the element, so the certified bound is 1/2; at r = 1/2
         # the real value 2/3 is exact.
         graph = make_path(FactorialMonomialRule(), field=RFElement)
-        cert = nonvanishing_certificate(TransitionContext(graph), 0, max_power=4)
+        cert = nonvanishing_certificate(TransitionContext(graph), 0)
         assert cert.power == 2 and cert.bound == Fraction(1, 2)
-        real_path = make_path(lambda k: LCElement.rational(Fraction(math.factorial(k), 2**k)))
-        cert = nonvanishing_certificate(TransitionContext(real_path), 0, max_power=4)
+        real_path = make_path(
+            ExplicitListRule(tuple(str(Fraction(math.factorial(k), 2**k)) for k in range(8)))
+        )
+        cert = nonvanishing_certificate(TransitionContext(real_path), 0)
         assert cert.power == 2 and cert.bound == Fraction(2, 3)
 
 
@@ -334,7 +336,7 @@ class TestNeumann:
     def test_inverse_check_on_decaying_restriction(self):
         ctx = half_power_ctx()
         with precision(window=3, max_terms=24):
-            report = neumann_inverse_check(ctx, range(3), {0: ONE}, target_valuation=1)
+            report = neumann_inverse_check(ctx, range(3), {0: ONE})
         assert report.ok
 
     def test_inverse_check_refused_without_certificate(self):
@@ -344,7 +346,7 @@ class TestNeumann:
     def test_singleton_inverse(self):
         # K = {a} with m = b: Delta_K^{-1} 1_a (a) = 1 and the series is P^0.
         ctx = unit_ctx()
-        report = neumann_inverse_check(ctx, (0,), {0: ONE}, target_valuation=1)
+        report = neumann_inverse_check(ctx, (0,), {0: ONE})
         assert report.ok and report.N_used == 1
 
     @pytest.mark.parametrize("name", ["ex8", "ex9"])
@@ -571,7 +573,7 @@ class TestConsistencyWithCapacity:
 
         ctx = growing_ctx()
         assert full_decay_certificate(ctx) is not None
-        assert classify(ctx.graph, 0, 8).kind == POSITIVE
+        assert classify(ctx.graph, 0).kind == POSITIVE
 
     def test_restricted_decay_cooccurs_with_not_null(self):
         from nacap.capacity import NULL, classify
@@ -579,7 +581,7 @@ class TestConsistencyWithCapacity:
         ctx = half_power_ctx()
         for top in (2, 3, 5):
             assert restricted_decay_certificate(ctx, range(top)) is not None
-        assert classify(ctx.graph, 0, 8).kind != NULL
+        assert classify(ctx.graph, 0).kind != NULL
 
     def test_decay_rate_is_pair_independent(self):
         # The restricted certificate covers every pair: valuations grow for
