@@ -38,6 +38,7 @@ import contextvars
 import dataclasses
 import heapq
 import math
+import re
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -527,103 +528,51 @@ _ONE = LCElement(((0, Q(1)),), INF)
 #   eps      := "e" "^" "(" rational ")"
 #   rational := ["-"] digits ["/" digits]
 #
+# The grammar is regular, and whitespace may stand between any two tokens;
+# digits are decimal digits.
 # Canonical output: ascending exponents, no zero coefficients, explicit "*",
 # the exponent-zero term printed as a bare rational.
 # ---------------------------------------------------------------------------
 
-
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str | None:
-        self._skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else None
-
-    def expect(self, char: str):
-        self._skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != char:
-            raise FieldParseError(f"expected {char!r}", self.pos)
-        self.pos += 1
-
-    def digits(self) -> int:
-        self._skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise FieldParseError("expected digits", start)
-        return int(self.text[start : self.pos])
-
-    def rational(self) -> Fraction:
-        self._skip_ws()
-        sign = 1
-        if self.peek() == "-":
-            self.expect("-")
-            sign = -1
-        numerator = self.digits()
-        if self.peek() == "/":
-            self.expect("/")
-            denominator = self.digits()
-            if denominator == 0:
-                raise FieldParseError("zero denominator", self.pos - 1)
-            return Q(sign * numerator, denominator)
-        return Q(sign * numerator)
+_RATIONAL = r"(-?)\s*(\d+)(?:\s*/\s*(\d+))?"
+_EPS = rf"e\s*\^\s*\(\s*{_RATIONAL}\s*\)"
+# Groups 1-3 hold the coefficient, 4-6 the exponent after "*", 7-9 the
+# exponent of a bare eps.
+_TERM = re.compile(rf"\s*(?:{_RATIONAL}\s*(?:\*\s*{_EPS})?|{_EPS})")
+# Whitespace, then the next character ("" at the end of the text).
+_SEPARATOR = re.compile(r"\s*(.?)")
 
 
 def parse_element(text: str) -> LCElement:
     """Parse a field-element literal; exact result (infinite guarantee)."""
-    tok = _Tokenizer(text)
     seen: dict = {}
-
-    def read_term(sign: int):
-        char = tok.peek()
-        if char is None:
-            raise FieldParseError("expected a term", tok.pos)
-        if char == "e":
-            coefficient = Q(sign)
-            exponent = _read_eps(tok)
-        else:
-            coefficient = sign * tok.rational()
-            if tok.peek() == "*":
-                tok.expect("*")
-                exponent = _read_eps(tok)
-            else:
-                exponent = 0
-        position = tok.pos
-        if exponent in seen:
-            raise FieldParseError(f"duplicate exponent {exponent}", position)
-        seen[exponent] = coefficient
-
-    read_term(1)
+    sign, pos = 1, 0
     while True:
-        char = tok.peek()
-        if char is None:
-            break
-        if char == "+":
-            tok.expect("+")
-            read_term(1)
-        elif char == "-":
-            tok.expect("-")
-            read_term(-1)
-        else:
-            raise FieldParseError(f"unexpected character {char!r}", tok.pos)
-    terms = sorted((e, c) for e, c in seen.items() if c != 0)
-    return LCElement(tuple(terms), INF)
+        term = _TERM.match(text, pos)
+        if term is None:
+            raise FieldParseError("expected a term", _SEPARATOR.match(text, pos).start(1))
+        coefficient = sign * _rational(term, 1) if term[2] else Q(sign)
+        eps = 4 if term[5] else 7 if term[8] else None
+        exponent = canonical(_rational(term, eps)) if eps else 0
+        if exponent in seen:
+            raise FieldParseError(f"duplicate exponent {exponent}", term.end())
+        seen[exponent] = coefficient
+        separator = _SEPARATOR.match(text, term.end())
+        char = separator[1]
+        if not char:
+            return LCElement(tuple(sorted((e, c) for e, c in seen.items() if c != 0)), INF)
+        if char not in "+-":
+            raise FieldParseError(f"unexpected character {char!r}", separator.start(1))
+        sign, pos = (-1 if char == "-" else 1), separator.end()
 
 
-def _read_eps(tok: _Tokenizer) -> Exponent:
-    tok.expect("e")
-    tok.expect("^")
-    tok.expect("(")
-    exponent = canonical(tok.rational())
-    tok.expect(")")
-    return exponent
+def _rational(term: re.Match, group: int) -> Fraction:
+    """The rational whose sign, numerator and denominator a term match holds
+    in groups ``group`` to ``group + 2``."""
+    minus, numerator, denominator = term.group(group, group + 1, group + 2)
+    if denominator is not None and int(denominator) == 0:
+        raise FieldParseError("zero denominator", term.end(group + 2) - 1)
+    return Q(int(minus + numerator), int(denominator or 1))
 
 
 def format_element(x: LCElement) -> str:

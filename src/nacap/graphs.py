@@ -506,7 +506,10 @@ class WeightedGraph:
         return self._degree[v]
 
     def measure(self, v: int):
-        return self.measure_rule.value(v, self)
+        m = self.measure_rule.value(v, self)
+        if not m or m.sign() <= 0:
+            raise NonpositiveWeightError(f"the measure m({v}) is nonpositive")
+        return m
 
     # -- balls and boundaries -------------------------------------------------
 

@@ -18,6 +18,7 @@ from .capacity import DIVERGENT, POSITIVE, CapacityVerdict
 from .dirichlet import energy, laplacian_apply
 from .errors import (
     HardyConstructionError,
+    HorizonExhaustedError,
     IndeterminateComparisonError,
     PreconditionError,
 )
@@ -176,6 +177,9 @@ def harnack_constant(graph, W):
 
     Any path yields a valid constant; shortest paths keep it small."""
     order = sorted(set(W))
+    for v in order:
+        if not graph.vertex_exists(v):
+            raise HorizonExhaustedError(f"vertex {v} outside the graph")
     members = set(order)
     one = graph.field.one()
     best = one

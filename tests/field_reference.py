@@ -1,5 +1,5 @@
 """Reference kernels for LCElement addition, multiplication, inversion and
-division.
+division, and the reference literal parser.
 
 These are the straightforward forms the library's kernels must agree with:
 addition merges the terms in a map and truncates afterwards;
@@ -13,14 +13,18 @@ found.  The differential tests in ``test_field_kernel.py`` and
 multiplication and the long division term for term, inversion and division
 with ``assert_refines``.  The truncation ``_finalize`` is a copy of its own,
 one filter per cut, so a cut the library misplaces shows as a difference.
+``reference_parse_element`` is the literal parser as a tokenizer and a
+recursive descent; ``test_field.py`` holds the regular-expression parser to
+it.
 """
 
 import heapq
 import math
+from fractions import Fraction
 
-from nacap.errors import IndeterminateComparisonError
-from nacap.exact import Q
-from nacap.field import _ONE, INF, LCElement, active_precision
+from nacap.errors import FieldParseError, IndeterminateComparisonError
+from nacap.exact import Q, canonical
+from nacap.field import _ONE, INF, Exponent, LCElement, active_precision
 
 
 def _finalize(terms, guarantee, cfg) -> LCElement:
@@ -150,3 +154,97 @@ def assert_refines(new: LCElement, ref: LCElement):
     assert all(e < new.guarantee for e, _ in new.terms), new
     assert new.guarantee >= ref.guarantee, (new, ref)
     assert tuple(t for t in new.terms if t[0] < ref.guarantee) == ref.terms, (new, ref)
+
+
+class _Tokenizer:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def _skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str | None:
+        self._skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else None
+
+    def expect(self, char: str):
+        self._skip_ws()
+        if self.pos >= len(self.text) or self.text[self.pos] != char:
+            raise FieldParseError(f"expected {char!r}", self.pos)
+        self.pos += 1
+
+    def digits(self) -> int:
+        self._skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        if self.pos == start:
+            raise FieldParseError("expected digits", start)
+        return int(self.text[start : self.pos])
+
+    def rational(self) -> Fraction:
+        self._skip_ws()
+        sign = 1
+        if self.peek() == "-":
+            self.expect("-")
+            sign = -1
+        numerator = self.digits()
+        if self.peek() == "/":
+            self.expect("/")
+            denominator = self.digits()
+            if denominator == 0:
+                raise FieldParseError("zero denominator", self.pos - 1)
+            return Q(sign * numerator, denominator)
+        return Q(sign * numerator)
+
+
+def reference_parse_element(text: str) -> LCElement:
+    """Parse a field-element literal; exact result (infinite guarantee)."""
+    tok = _Tokenizer(text)
+    seen: dict = {}
+
+    def read_term(sign: int):
+        char = tok.peek()
+        if char is None:
+            raise FieldParseError("expected a term", tok.pos)
+        if char == "e":
+            coefficient = Q(sign)
+            exponent = _read_eps(tok)
+        else:
+            coefficient = sign * tok.rational()
+            if tok.peek() == "*":
+                tok.expect("*")
+                exponent = _read_eps(tok)
+            else:
+                exponent = 0
+        position = tok.pos
+        if exponent in seen:
+            raise FieldParseError(f"duplicate exponent {exponent}", position)
+        seen[exponent] = coefficient
+
+    read_term(1)
+    while True:
+        char = tok.peek()
+        if char is None:
+            break
+        if char == "+":
+            tok.expect("+")
+            read_term(1)
+        elif char == "-":
+            tok.expect("-")
+            read_term(-1)
+        else:
+            raise FieldParseError(f"unexpected character {char!r}", tok.pos)
+    terms = sorted((e, c) for e, c in seen.items() if c != 0)
+    return LCElement(tuple(terms), INF)
+
+
+def _read_eps(tok: _Tokenizer) -> Exponent:
+    tok.expect("e")
+    tok.expect("^")
+    tok.expect("(")
+    exponent = canonical(tok.rational())
+    tok.expect(")")
+    return exponent

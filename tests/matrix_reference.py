@@ -41,6 +41,7 @@ MATRIX_COMMANDS = (
     "transition --x 0 --y 9 --n 2",
     "transition --x 0 --y 9 --n 2 --max-product",
     "harnack --set 0,1,2",
+    "harnack --set 9",
     "superharmonic --u 1,1,1",
     "hardy --samples 2 --horizon 4",
     "real-sweep --r 1/2 --horizon 3",

@@ -383,6 +383,45 @@ class TestDeterminismAndErrors:
         assert code == 4 and out == ""
         assert "vertex -1 outside the graph" in err
 
+    @pytest.mark.parametrize(
+        "spec, vertices, missing",
+        [("ex1", "-1", -1), ("ex1", "2,-1", -1), ("finite-path", "0,4", 4)],
+    )
+    def test_harnack_refuses_a_vertex_outside_the_graph(self, capsys, spec, vertices, missing):
+        if spec in matrix_reference.SPEC_FILES:
+            spec = os.path.join(matrix_reference.SPECS, f"{spec}.json")
+        code, out, err = run(capsys, "harnack", "--spec", spec, f"--set={vertices}")
+        assert code == 4 and out == ""
+        assert f"vertex {missing} outside the graph" in err
+
+    @pytest.mark.parametrize(
+        "measure, argv",
+        [
+            (["0", "1", "1", "1"], ("superharmonic", "--u", "1,1,1")),
+            (["0", "1", "1", "1"], ("green", "--x", "0", "--y", "0", "--horizon", "2")),
+            ({"rule": "const", "value": -1}, ("green", "--x", "0", "--y", "0", "--horizon", "2")),
+        ],
+    )
+    def test_nonpositive_measure_is_refused(self, capsys, tmp_path, measure, argv):
+        spec = tmp_path / "measure.json"
+        spec.write_text(
+            json.dumps({"kind": "path", "weights": {"rule": "const"}, "measure": measure})
+        )
+        code, out, err = run(capsys, argv[0], "--spec", str(spec), *argv[1:])
+        assert code == 4 and out == ""
+        assert "the measure m(0) is nonpositive" in err
+
+    def test_non_decimal_digit_is_a_spec_error(self, capsys, tmp_path):
+        # "²" is a digit to str.isdigit but not a decimal digit int can read.
+        code, out, err = run(capsys, "superharmonic", "--spec", "ex6", "--construct", "--c", "²")
+        assert code == 2 and out == ""
+        assert err == "spec error: expected a term (at position 0)\n"
+        spec = tmp_path / "digit.json"
+        spec.write_text(json.dumps({"kind": "path", "weights": ["1", "1²"]}))
+        code, out, err = run(capsys, "classify", "--spec", str(spec))
+        assert code == 2 and out == ""
+        assert "unexpected character '²' (at position 1)" in err
+
     def test_precondition_exit_code(self, capsys):
         # Null capacity: Hardy construction must refuse with exit code 4.
         code, _, err = run(capsys, "hardy", "--spec", "ex1")

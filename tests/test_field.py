@@ -1,9 +1,13 @@
 """Scalar arithmetic: series elements, precision certificates, literals."""
 
+import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from field_reference import reference_parse_element
 from nacap.errors import (
     FieldParseError,
     IndeterminateComparisonError,
@@ -17,6 +21,7 @@ from nacap.field import (
     parse_element,
     precision,
 )
+from prop_suites import random_element
 
 ONE = LCElement.one()
 EPS = LCElement.monomial(1, 1)
@@ -176,6 +181,23 @@ class TestLiterals:
             lc("1 + *")
         assert err.value.position == 4
 
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("-e^(1)", "expected a term", 0),  # a bare eps takes no sign
+            ("1 - -2", "duplicate exponent 0", 6),
+            ("1 + e^(1/00)", "zero denominator", 10),
+            # "²" is a digit to str.isdigit, but not one int can read.
+            ("²", "expected a term", 0),
+            ("1²", "unexpected character '²'", 1),
+            ("1 + e^(²)", "expected a term", 4),
+        ],
+    )
+    def test_refusal_carries_message_and_position(self, text, message, position):
+        with pytest.raises(FieldParseError, match=re.escape(message)) as err:
+            lc(text)
+        assert err.value.position == position
+
     def test_bare_eps_coefficient_one(self):
         assert lc("e^(1/2)") == LCElement.monomial(1, Fraction(1, 2))
 
@@ -188,6 +210,76 @@ class TestLiterals:
         assert format_element(lc("2 + 3/2*e^(-1/2)")) == "3/2*e^(-1/2) + 2"
         assert format_element(ONE - EPS) == "1 - 1*e^(1)"
         assert format_element(LCElement.zero()) == "0"
+
+    def test_whitespace_between_any_two_tokens(self):
+        assert lc(" 3 / 4 * e ^ ( - 1 / 2 )\t+\n- 5 ") == lc("3/4*e^(-1/2) - 5")
+
+    def test_decimal_digits_of_any_script(self):
+        assert lc("٣/٤*e^(١)") == lc("3/4*e^(1)")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**30))
+    def test_round_trip_random_elements(self, seed):
+        x = random_element(random.Random(seed))
+        assert parse_element(format_element(x)) == x
+
+
+SPACES = st.sampled_from(["", "", " ", "\t", "\n"])
+DIGITS = st.sampled_from(["0", "1", "2", "7", "12", "٣"])
+STRAY_TOKENS = st.sampled_from(
+    ["x", "²", "٣", "e", "^", "(", ")", "*", "/", "+", "-", "1", " "]
+)
+
+
+@st.composite
+def rational_tokens(draw):
+    tokens = ["-"] if draw(st.booleans()) else []
+    tokens.append(draw(DIGITS))
+    if draw(st.booleans()):
+        tokens += ["/", draw(DIGITS)]
+    return tokens
+
+
+@st.composite
+def literal_texts(draw):
+    """Up to three terms of the literal grammar with whitespace drawn between
+    the tokens, and up to two stray tokens inserted anywhere."""
+    tokens = []
+    for i in range(draw(st.integers(0, 3))):
+        if i:
+            tokens.append(draw(st.sampled_from("+-")))
+        form = draw(st.sampled_from(["rational", "rational * eps", "eps"]))
+        if form != "eps":
+            tokens += draw(rational_tokens())
+        if form == "rational * eps":
+            tokens.append("*")
+        if form != "rational":
+            tokens += ["e", "^", "(", *draw(rational_tokens()), ")"]
+    for _ in range(draw(st.integers(0, 2))):
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(STRAY_TOKENS))
+    return draw(SPACES) + "".join(token + draw(SPACES) for token in tokens)
+
+
+class TestParserAgainstReference:
+    """The regular-expression parser against the tokenizer and recursive
+    descent of ``field_reference``: the same strings accepted, to equal
+    elements, and every refusal a FieldParseError.  The reference raises a
+    bare ValueError on a digit that int cannot read, such as "²"."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(literal_texts())
+    def test_same_language_and_values(self, text):
+        try:
+            expected = reference_parse_element(text)
+        except (FieldParseError, ValueError):
+            expected = None
+        try:
+            got = parse_element(text)
+        except FieldParseError:
+            got = None
+        assert (got is None) == (expected is None), text
+        if expected is not None:
+            assert got == expected and got.terms == expected.terms, text
 
 
 class TestConfig:
